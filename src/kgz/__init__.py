@@ -19,10 +19,12 @@ from .errors import (
 from .grid import (
     Grid1D,
     GridNorms,
+    factor_tridiagonal,
     forward_difference,
     grid_norms,
     inner_product,
     second_difference,
+    solve_factored,
     solve_poisson_dirichlet,
     solve_tridiagonal,
     staggered_inner_product,
@@ -43,7 +45,7 @@ from .harness import (
     write_snapshots,
     write_table,
 )
-from .layer import InitialLayer, decay_order, prepare_layer
+from .layer import InitialLayer, decay_order
 from .limits import (
     KgState,
     KgTrajectory,

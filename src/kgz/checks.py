@@ -13,8 +13,10 @@ from .grid import (
     Grid1D,
     forward_difference,
     grid_norms,
+    factor_tridiagonal,
     inner_product,
     second_difference,
+    solve_factored,
     solve_poisson_dirichlet,
     solve_tridiagonal,
     staggered_inner_product,
@@ -223,6 +225,38 @@ def check_tridiagonal_dense(seed=4):
     return _result("tridiagonal_vs_dense", worst, 1e-12)
 
 
+def check_tridiagonal_factored(seed=6):
+    """A factor reused across right-hand sides against gtsv and a dense solve.
+
+    Density-type systems are a constant SPD Toeplitz matrix given by its
+    scalars, as the time stepper factors it; field-type systems have a
+    diagonal that varies from row to row.
+    """
+    rng = np.random.default_rng(seed)
+    inv_t2, inv_h2 = 1e4, 1.0 / 0.05**2
+    worst = 0.0
+    for n in (1, 2, 3, 50, 1000):
+        off = np.full(n - 1, -0.5 * inv_h2)
+        density = (-0.5 * inv_h2, inv_t2 + inv_h2, -0.5 * inv_h2)
+        field = (off, inv_t2 + inv_h2 + 0.5 * rng.uniform(-1.0, 2.0, n), off)
+        for case in (density, field):
+            factor = factor_tridiagonal(*case, n=n)
+            lower, diag, upper = (
+                np.broadcast_to(v, (m,)) for v, m in zip(case, (n - 1, n, n - 1))
+            )
+            dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+            for _ in range(3):
+                rhs = rng.standard_normal(n)
+                got = solve_factored(factor, rhs)
+                scale = max(np.max(np.abs(got)), 1e-30)
+                for expected in (
+                    solve_tridiagonal(lower, diag, upper, rhs),
+                    np.linalg.solve(dense, rhs),
+                ):
+                    worst = max(worst, np.max(np.abs(got - expected)) / scale)
+    return _result("tridiagonal_factored", worst, 1e-12)
+
+
 def check_poisson_dense(seed=5):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -252,6 +286,7 @@ ALL_CHECKS = (
     check_zero_fixed_point,
     check_dirichlet_boundary,
     check_tridiagonal_dense,
+    check_tridiagonal_factored,
     check_poisson_dense,
 )
 

@@ -71,8 +71,14 @@ def second_difference(u, grid):
     """Centered second difference; boundary rows of the result are zero."""
     u = _require_grid_fn(u, grid)
     v = np.zeros_like(u)
-    v[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / grid.h**2
+    v[1:-1] = second_difference_interior(u, grid)
     return v
+
+
+def second_difference_interior(u, grid):
+    """Centered second difference at the M - 1 interior nodes only."""
+    u = _require_grid_fn(u, grid)
+    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / grid.h**2
 
 
 def forward_difference(u, grid):
@@ -108,6 +114,34 @@ def staggered_inner_product(w1, w2, grid):
     return float(grid.h * np.sum(w1 * w2))
 
 
+def _diagonals(lower, diag, upper, n=None):
+    """(n, lower, diag, upper) as validated float arrays.
+
+    Without ``n`` the order is the length of ``diag``; with it, each
+    diagonal may also be a scalar repeated along it.
+    """
+    lower, diag, upper = (np.asarray(v, dtype=float) for v in (lower, diag, upper))
+    scalars_ok = n is not None
+    if n is None:
+        n = diag.shape[0] if diag.ndim == 1 else 0
+    if n < 1:
+        raise ShapeError("empty system")
+    for v, length in ((lower, n - 1), (diag, n), (upper, n - 1)):
+        if v.shape != (length,) and not (scalars_ok and v.ndim == 0):
+            raise ShapeError(
+                f"diagonals have lengths {lower.shape}/{diag.shape}/{upper.shape}, "
+                f"expected {n - 1}/{n}/{n - 1}"
+            )
+    return n, lower, diag, upper
+
+
+def _require_rhs(rhs, n):
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (n,):
+        raise ShapeError(f"rhs has length {rhs.shape}, expected {n}")
+    return rhs
+
+
 def solve_tridiagonal(lower, diag, upper, rhs, require_dominant=True):
     """Solve a tridiagonal system by pivoting-free style elimination.
 
@@ -121,25 +155,23 @@ def solve_tridiagonal(lower, diag, upper, rhs, require_dominant=True):
     passes ``require_dominant=False`` and accepts the residual check as the
     only guarantee.
 
+    This is the one-shot path, for a matrix that changes with every
+    solve, such as the field system of the time stepper. A matrix that
+    stays fixed across many right-hand sides, such as the density system,
+    is factored once with :func:`factor_tridiagonal` and solved with
+    :func:`solve_factored`, which gives the same result bit for bit when no
+    row interchange fires.
+
     The returned solution satisfies ``||Ax - rhs|| <= 1e-12 ||rhs||``
     whenever a double-precision vector with that property exists; very
     stiff systems whose representation floor sits above that bound are
     refined in mixed precision and held to the equivalent backward-error
     criterion ``||Ax - rhs|| <= 1e-12 (||A|| ||x|| + ||rhs||)`` instead.
+    A solution that is not finite fails the check and raises
+    :class:`IllConditionedError`.
     """
-    diag = np.asarray(diag, dtype=float)
-    n = diag.shape[0]
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if n < 1:
-        raise ShapeError("empty system")
-    if lower.shape != (max(n - 1, 0),) or upper.shape != (max(n - 1, 0),):
-        raise ShapeError(
-            f"off-diagonals have lengths {lower.shape}/{upper.shape}, expected {n - 1}"
-        )
-    if rhs.shape != (n,):
-        raise ShapeError(f"rhs has length {rhs.shape}, expected {n}")
+    n, lower, diag, upper = _diagonals(lower, diag, upper)
+    rhs = _require_rhs(rhs, n)
 
     if require_dominant:
         margin = np.abs(diag).copy()
@@ -166,35 +198,110 @@ def solve_tridiagonal(lower, diag, upper, rhs, require_dominant=True):
             raise ShapeError(f"illegal argument {-info} passed to gtsv")
         return x
 
-    def _residual_vec(x, dtype=float):
-        d = diag.astype(dtype, copy=False)
-        b = rhs.astype(dtype, copy=False)
-        ax = d * x.astype(dtype, copy=False)
-        if n > 1:
-            ax[:-1] += upper.astype(dtype, copy=False) * x[1:]
-            ax[1:] += lower.astype(dtype, copy=False) * x[:-1]
-        return b - ax
+    return _checked_solve(_solve, lower, diag, upper, rhs)
 
+
+class TridiagonalFactor(NamedTuple):
+    """A tridiagonal matrix with its LAPACK gttrf factors, for repeated solves.
+
+    ``lower``, ``diag`` and ``upper`` keep the matrix itself for the
+    residual check; each is an array or a 0-d array repeated along its
+    diagonal. ``lu`` holds the read-only ``(dl, d, du, du2, ipiv)`` of
+    gttrf, padded to at least three rows.
+    """
+
+    n: int
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    lu: tuple
+
+
+def factor_tridiagonal(lower, diag, upper, n=None):
+    """LU-factor a tridiagonal matrix once (LAPACK gttrf) for :func:`solve_factored`.
+
+    The diagonals are given as in :func:`solve_tridiagonal`, except that
+    each may also be a scalar repeated along its diagonal; ``n``, the order
+    of the system, is then required when ``diag`` is a scalar. gttrf runs
+    the same partial-pivoting elimination as gtsv, so on the dominant
+    systems of this package, where no row interchange fires, a factored
+    solve reproduces the one-shot solve bit for bit. A zero pivot raises
+    :class:`SingularSystemError` here, before any solve.
+    """
+    n, *tri = _diagonals(lower, diag, upper, n)
+    # private read-only copies: the factor may be shared between callers
+    lower, diag, upper = (v.copy() for v in tri)
+    # the gttrf wrapper rejects n < 3; trailing identity rows with zero
+    # coupling leave the elimination of the leading rows unchanged
+    m = max(n, 3)
+    d = np.ones(m)
+    d[:n] = diag
+    dl = np.zeros(m - 1)
+    dl[: n - 1] = lower
+    du = np.zeros(m - 1)
+    du[: n - 1] = upper
+    *lu, info = lapack.dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info > 0:
+        raise SingularSystemError(f"zero pivot at row {info - 1}")
+    if info < 0:
+        raise ShapeError(f"illegal argument {-info} passed to gttrf")
+    for a in (*lu, lower, diag, upper):
+        a.setflags(write=False)
+    return TridiagonalFactor(n=n, lower=lower, diag=diag, upper=upper, lu=tuple(lu))
+
+
+def solve_factored(factor, rhs):
+    """Solve with the factors of :func:`factor_tridiagonal` (LAPACK gttrs).
+
+    Carries the residual guarantee of :func:`solve_tridiagonal`.
+    """
+    n = factor.n
+    rhs = _require_rhs(rhs, n)
+    pad = factor.lu[1].shape[0] - n
+
+    def _solve(b):
+        if pad:
+            b = np.concatenate((b, np.zeros(pad)))
+        x, info = lapack.dgttrs(*factor.lu, b)
+        if info < 0:
+            raise ShapeError(f"illegal argument {-info} passed to gttrs")
+        return x[:n]
+
+    return _checked_solve(_solve, factor.lower, factor.diag, factor.upper, rhs)
+
+
+def _residual_vec(lower, diag, upper, x, rhs, dtype=float):
+    ax = diag.astype(dtype, copy=False) * x.astype(dtype, copy=False)
+    ax[:-1] += upper.astype(dtype, copy=False) * x[1:]
+    ax[1:] += lower.astype(dtype, copy=False) * x[:-1]
+    return rhs.astype(dtype, copy=False) - ax
+
+
+def _checked_solve(solve, lower, diag, upper, rhs):
+    """Run ``solve`` on rhs and hold the result to the residual guarantee.
+
+    The comparisons are written so that a NaN residual fails them.
+    """
+    n = rhs.shape[0]
     denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-    x = _solve(rhs)
-    rnorm = float(np.linalg.norm(_residual_vec(x)))
-    if rnorm > RESIDUAL_TOL * denom:
+    x = solve(rhs)
+    rnorm = float(np.linalg.norm(_residual_vec(lower, diag, upper, x, rhs)))
+    if not rnorm <= RESIDUAL_TOL * denom:
         # refine once with an extended-precision residual, then re-measure;
         # for stiff systems (||A|| ||x|| >> ||rhs||) no double-precision
         # vector can push the plain residual below eps_mach * ||A|| ||x||,
         # so past that representation floor the scale-aware backward-error
         # criterion is the one that decides
-        r_ext = _residual_vec(x, dtype=np.longdouble)
-        x = x + _solve(r_ext.astype(float))
-        r_ext = _residual_vec(x, dtype=np.longdouble)
+        r_ext = _residual_vec(lower, diag, upper, x, rhs, dtype=np.longdouble)
+        x = x + solve(r_ext.astype(float))
+        r_ext = _residual_vec(lower, diag, upper, x, rhs, dtype=np.longdouble)
         rnorm = float(np.sqrt(np.sum(r_ext * r_ext)))
-        if rnorm > RESIDUAL_TOL * denom:
-            row_mass = np.abs(diag).copy()
-            if n > 1:
-                row_mass[:-1] += np.abs(upper)
-                row_mass[1:] += np.abs(lower)
+        if not rnorm <= RESIDUAL_TOL * denom:
+            row_mass = np.broadcast_to(np.abs(diag), (n,)).copy()
+            row_mass[:-1] += np.abs(upper)
+            row_mass[1:] += np.abs(lower)
             backward_scale = float(np.max(row_mass)) * float(np.linalg.norm(x)) + denom
-            if rnorm > RESIDUAL_TOL * backward_scale:
+            if not rnorm <= RESIDUAL_TOL * backward_scale:
                 raise IllConditionedError(
                     f"tridiagonal solve residual {rnorm / denom:.3e} exceeds "
                     f"{RESIDUAL_TOL:.1e} even against the backward-error scale",

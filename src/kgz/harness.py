@@ -19,9 +19,15 @@ from .errors import DegenerateProblemError, KgzError, ParameterError, ShapeError
 from .grid import Grid1D, grid_norms
 from .limits import limit_metrics, trajectory_kg
 from .presets import case_exponents, domain_for_eps, preset_initial_data
-from .solver import KgzParams, Snapshot, build_layer, density_at, run, trajectory
-
-ALIGN_RTOL = 1e-9
+from .solver import (
+    ALIGN_RTOL,
+    KgzParams,
+    Snapshot,
+    build_layer,
+    density_at,
+    run,
+    trajectory,
+)
 
 
 def _f6(x):
@@ -458,6 +464,16 @@ def run_sweep(spec):
             num_snap = Snapshot(t=res["t"], E=res["E"], F=res["F"], N=res["N"])
             try:
                 e_err, n_err = error_metrics(num_snap, ref_snap, grid)
+                rate_e = rate_n = None
+                if prev_errs is not None:
+                    rate_e = convergence_rate(prev_errs[0], e_err)
+                    rate_n = convergence_rate(prev_errs[1], n_err)
+                # the row rejects a non-finite error, which must land in
+                # the failures rather than abort the sweep
+                row = ErrorRow(
+                    eps=eps, h=grid.h, tau=tt, t=spec.T,
+                    e_err=e_err, n_err=n_err, rate_e=rate_e, rate_n=rate_n,
+                )
             except KgzError as exc:
                 table.failures.append(
                     FailedRow(
@@ -467,16 +483,7 @@ def run_sweep(spec):
                 )
                 prev_errs = None
                 continue
-            rate_e = rate_n = None
-            if prev_errs is not None:
-                rate_e = convergence_rate(prev_errs[0], e_err)
-                rate_n = convergence_rate(prev_errs[1], n_err)
-            table.rows.append(
-                ErrorRow(
-                    eps=eps, h=grid.h, tau=tt, t=spec.T,
-                    e_err=e_err, n_err=n_err, rate_e=rate_e, rate_n=rate_n,
-                )
-            )
+            table.rows.append(row)
             prev_errs = (e_err, n_err)
 
     if spec.out_path:
@@ -510,12 +517,20 @@ def _run_eps_limit(spec, alpha, beta, tau, meta):
                 FailedRow(eps=_f6(eps), h=_f6(grid.h), tau=_f6(tau), message=res["message"])
             )
             continue
-        table.rows.append(
-            ErrorRow(
+        try:
+            row = ErrorRow(
                 eps=eps, h=grid.h, tau=tau, t=res["t_max"],
                 e_err=res["max_eta_e"], n_err=res["max_f_over_eps"],
             )
-        )
+        except ParameterError as exc:  # a non-finite metric
+            table.failures.append(
+                FailedRow(
+                    eps=_f6(eps), h=_f6(grid.h), tau=_f6(tau),
+                    message=f"{type(exc).__name__}: {exc}",
+                )
+            )
+            continue
+        table.rows.append(row)
         points.append((eps, res["max_eta_e"]))
     if len(points) >= 2:
         slope = fit_slope(

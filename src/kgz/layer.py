@@ -107,8 +107,3 @@ class InitialLayer:
     def amplitude_bound(self):
         """Triangle-inequality bound on the max norm of the wave, any t."""
         return float(np.sum(np.abs(self.amp0) + np.abs(self.amp1)))
-
-
-def prepare_layer(grid, eps, alpha, beta, w0_samples, w1_samples):
-    """Functional alias for InitialLayer.from_samples."""
-    return InitialLayer.from_samples(grid, eps, alpha, beta, w0_samples, w1_samples)

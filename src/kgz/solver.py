@@ -5,8 +5,15 @@ G is the oscillatory initial layer handled exactly by :mod:`kgz.layer`. Each
 step solves two strictly diagonally dominant tridiagonal systems: first the
 field E (its system needs the averaged layer potential at the current time),
 then F, whose source term consumes the freshly computed field level.
+
+The field matrix depends on the current level and is solved afresh each
+step. The density matrix depends only on (M, h, tau, eps), so it is
+LU-factored once per run and every step reuses the factor; on these
+dominant systems that repeats the one-shot elimination exactly, and the
+results are unchanged bit for bit.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -16,9 +23,12 @@ import numpy as np
 from .errors import ParameterError, ShapeError, StabilityError
 from .grid import (
     Grid1D,
+    factor_tridiagonal,
     grid_norms,
     inner_product,
     second_difference,
+    second_difference_interior,
+    solve_factored,
     solve_poisson_dirichlet,
     solve_tridiagonal,
 )
@@ -159,7 +169,7 @@ def _solve_field(E_curr, E_prev, c, params):
     inv_h2 = 1.0 / grid.h**2
     margin = inv_t2 + 0.5 * c[1:-1]
     j = int(np.argmin(margin))
-    if margin[j] <= 0.0:
+    if not margin[j] > 0.0:  # also catches NaN, which argmin reports first
         raise StabilityError(
             f"field system lost diagonal dominance at node {j + 1}: "
             f"1/tau^2 + c/2 = {margin[j]:.3e} with c = {c[j + 1]:.3e}, tau = {tau}",
@@ -167,14 +177,30 @@ def _solve_field(E_curr, E_prev, c, params):
             coefficient=float(c[j + 1]),
             tau=tau,
         )
+    # a positive margin leaves diag >= inv_h2 = the off-diagonal mass of
+    # every row even after rounding, so the solver's own dominance scan
+    # could never fire and is skipped
     diag = margin + inv_h2
     off = np.full(grid.M - 2, -0.5 * inv_h2)
-    rhs = (2.0 * E_curr - E_prev)[1:-1] * inv_t2 + 0.5 * (
-        second_difference(E_prev, grid) - c * E_prev
-    )[1:-1]
+    E_prev_in = E_prev[1:-1]
+    rhs = (2.0 * E_curr[1:-1] - E_prev_in) * inv_t2 + 0.5 * (
+        second_difference_interior(E_prev, grid) - c[1:-1] * E_prev_in
+    )
     E_next = grid.zeros()
-    E_next[1:-1] = solve_tridiagonal(off, diag, off, rhs)
+    E_next[1:-1] = solve_tridiagonal(off, diag, off, rhs, require_dominant=False)
     return E_next
+
+
+@functools.lru_cache(maxsize=4)
+def _density_factor(M, h, tau, eps):
+    """LU factors of the density matrix, which stays fixed for a whole run.
+
+    The matrix is the Toeplitz ``1/tau^2 + s (-d2)`` with ``s = 1/(2 eps^2)``,
+    kept as its two scalars; the cached factor is read-only and shared.
+    """
+    inv_t2 = 1.0 / tau**2
+    s_h2 = 0.5 / eps**2 / h**2
+    return factor_tridiagonal(-s_h2, inv_t2 + 2.0 * s_h2, -s_h2, n=M - 1)
 
 
 def _solve_density(F_curr, F_prev, dt2_E2, params):
@@ -182,16 +208,13 @@ def _solve_density(F_curr, F_prev, dt2_E2, params):
     grid, tau = params.grid, params.tau
     inv_t2 = 1.0 / tau**2
     s = 0.5 / params.eps**2
-    s_h2 = s / grid.h**2
-    diag = np.full(grid.M - 1, inv_t2 + 2.0 * s_h2)
-    off = np.full(grid.M - 2, -s_h2)
     rhs = (
-        (2.0 * F_curr - F_prev)[1:-1] * inv_t2
-        + s * second_difference(F_prev, grid)[1:-1]
+        (2.0 * F_curr[1:-1] - F_prev[1:-1]) * inv_t2
+        + s * second_difference_interior(F_prev, grid)
         + dt2_E2[1:-1]
     )
     F_next = grid.zeros()
-    F_next[1:-1] = solve_tridiagonal(off, diag, off, rhs)
+    F_next[1:-1] = solve_factored(_density_factor(grid.M, grid.h, tau, params.eps), rhs)
     return F_next
 
 
@@ -201,9 +224,10 @@ def step(state, params, layer):
     Ek, Em = state.E_curr, state.E_prev
     Fk, Fm = state.F_curr, state.F_prev
     H = layer.averaged_wave(state.t_k, tau)
-    c = 1.0 - Ek**2 + Fk + H
+    Ek2 = Ek**2
+    c = 1.0 - Ek2 + Fk + H
     E_next = _solve_field(Ek, Em, c, params)
-    dt2_E2 = (E_next**2 - 2.0 * Ek**2 + Em**2) / tau**2
+    dt2_E2 = (E_next**2 - 2.0 * Ek2 + Em**2) / tau**2
     F_next = _solve_density(Fk, Fm, dt2_E2, params)
     k = state.k + 1
     return KgzState(k=k, t_k=k * tau, E_prev=Ek, E_curr=E_next, F_prev=Fk, F_curr=F_next)
@@ -222,9 +246,10 @@ def step_back(state, params, layer):
     Ek, Ep = state.E_prev, state.E_curr  # middle level, later level
     Fk, Fp = state.F_prev, state.F_curr
     H = layer.averaged_wave(t_mid, tau)
-    c = 1.0 - Ek**2 + Fk + H
+    Ek2 = Ek**2
+    c = 1.0 - Ek2 + Fk + H
     E_before = _solve_field(Ek, Ep, c, params)
-    dt2_E2 = (Ep**2 - 2.0 * Ek**2 + E_before**2) / tau**2
+    dt2_E2 = (Ep**2 - 2.0 * Ek2 + E_before**2) / tau**2
     F_before = _solve_density(Fk, Fp, dt2_E2, params)
     k = state.k - 1
     return KgzState(

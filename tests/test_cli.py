@@ -160,7 +160,7 @@ class TestCheck:
         code = main(["check"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "10/10 checks passed" in out
+        assert "11/11 checks passed" in out
         assert "FAIL" not in out
 
 

@@ -7,10 +7,12 @@ from kgz import (
     ParameterError,
     ShapeError,
     SingularSystemError,
+    factor_tridiagonal,
     forward_difference,
     grid_norms,
     inner_product,
     second_difference,
+    solve_factored,
     solve_poisson_dirichlet,
     solve_tridiagonal,
     staggered_inner_product,
@@ -204,6 +206,87 @@ class TestTridiagonal:
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             solve_tridiagonal(np.zeros(3), np.ones(3), np.zeros(2), np.ones(3))
+
+    def test_nan_rhs_raises(self):
+        rhs = np.ones(5)
+        rhs[2] = np.nan
+        with pytest.raises(IllConditionedError):
+            solve_tridiagonal(-np.ones(4), np.full(5, 3.0), -np.ones(4), rhs)
+
+
+def dominant_system(rng, n):
+    lower = rng.standard_normal(max(n - 1, 0))
+    upper = rng.standard_normal(max(n - 1, 0))
+    diag = 2.0 + rng.random(n)
+    diag[1:] += np.abs(lower)
+    diag[:-1] += np.abs(upper)
+    return lower, diag, upper
+
+
+def residual(lower, diag, upper, x, rhs):
+    res = diag * x
+    res[:-1] += upper * x[1:]
+    res[1:] += lower * x[:-1]
+    return np.linalg.norm(res - rhs)
+
+
+class TestFactoredTridiagonal:
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    def test_reused_factor_matches_one_shot(self, rng, n):
+        lower, diag, upper = dominant_system(rng, n)
+        factor = factor_tridiagonal(lower, diag, upper)
+        for _ in range(20):
+            rhs = rng.standard_normal(n)
+            x = solve_factored(factor, rhs)
+            # no row interchange fires, so gttrf/gttrs repeat gtsv's arithmetic
+            assert np.array_equal(x, solve_tridiagonal(lower, diag, upper, rhs))
+            assert residual(lower, diag, upper, x, rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 25])
+    def test_scalar_diagonals(self, rng, n):
+        factor = factor_tridiagonal(-1.0, 4.0, -1.5, n=n)
+        rhs = rng.standard_normal(n)
+        full = (np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.5))
+        assert np.array_equal(solve_factored(factor, rhs), solve_tridiagonal(*full, rhs))
+
+    def test_stiff_system_refines_identically(self, rng):
+        # the discrete Laplacian at this size sits above the plain residual
+        # floor, so both paths run the extended-precision refinement and
+        # are held to the backward-error criterion
+        n = 20000
+        rhs = rng.standard_normal(n)
+        full = (-np.ones(n - 1), np.full(n, 2.0), -np.ones(n - 1))
+        x = solve_factored(factor_tridiagonal(-1.0, 2.0, -1.0, n=n), rhs)
+        assert np.array_equal(x, solve_tridiagonal(*full, rhs))
+        bound = 1e-12 * (4.0 * np.linalg.norm(x) + np.linalg.norm(rhs))
+        assert residual(*full, x, rhs) <= bound
+
+    def test_factor_is_read_only_and_private(self, rng):
+        lower, diag, upper = dominant_system(rng, 6)
+        factor = factor_tridiagonal(lower, diag, upper)
+        assert diag.flags.writeable
+        assert not any(a.flags.writeable for a in (factor.diag, *factor.lu))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_zero_pivot(self, n):
+        with pytest.raises(SingularSystemError):
+            factor_tridiagonal(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1))
+
+    def test_nan_rhs_raises(self, rng):
+        factor = factor_tridiagonal(*dominant_system(rng, 8))
+        rhs = rng.standard_normal(8)
+        rhs[3] = np.nan
+        with pytest.raises(IllConditionedError):
+            solve_factored(factor, rhs)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError):
+            factor_tridiagonal(np.zeros(2), np.ones(3), np.zeros(1))
+        with pytest.raises(ShapeError):
+            factor_tridiagonal(0.0, 1.0, 0.0)
+        factor = factor_tridiagonal(0.0, 1.0, 0.0, n=3)
+        with pytest.raises(ShapeError):
+            solve_factored(factor, np.ones(4))
 
 
 class TestPoisson:

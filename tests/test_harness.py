@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kgz.harness
 from kgz import (
     DegenerateProblemError,
     Grid1D,
@@ -245,6 +246,37 @@ class TestRunSweep:
         assert all(r.rate_e is None and r.rate_n is None for r in table.rows)
         assert "eta_slope" in table.meta
         assert read_table(spec.out_path) == table
+
+    def test_non_finite_error_records_failed_row(self, tmp_path, monkeypatch):
+        real = kgz.harness._run_tasks
+
+        def nan_first_level(tasks, workers):
+            results = real(tasks, workers)
+            results[0] = dict(results[0], E=np.full_like(results[0]["E"], np.nan))
+            return results
+
+        monkeypatch.setattr(kgz.harness, "_run_tasks", nan_first_level)
+        table = run_sweep(self.tiny_spec(tmp_path))
+        assert len(table.failures) == 1
+        assert "must be finite" in table.failures[0].message
+        assert len(table.rows) == 1 and table.rows[0].rate_e is None
+
+    def test_eps_limit_non_finite_metric_records_failed_row(self, tmp_path, monkeypatch):
+        real = kgz.harness._run_tasks
+
+        def nan_metric(tasks, workers):
+            results = real(tasks, workers)
+            results[0] = dict(results[0], max_eta_e=float("nan"))
+            return results
+
+        monkeypatch.setattr(kgz.harness, "_run_tasks", nan_metric)
+        spec = SweepSpec(
+            mode="eps_limit", preset="gauss_sech", case="I", eps_list=(0.25, 0.125),
+            h0=0.5, tau0=0.05, levels=2, T=0.25,
+        )
+        table = run_sweep(spec)
+        assert [f.eps for f in table.failures] == [0.25]
+        assert [r.eps for r in table.rows] == [0.125]
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from kgz import (
     trajectory,
 )
 from kgz.presets import preset_initial_data
+from kgz.solver import _density_factor
 from conftest import random_grid_fn
 
 
@@ -240,6 +243,17 @@ class TestStep:
         assert excinfo.value.tau == 1.0
         assert excinfo.value.coefficient == pytest.approx(-99.0)
 
+    def test_nan_field_raises_stability_error_at_its_node(self):
+        params = toy_params(M=16, tau=0.01)
+        layer = build_layer(params, ZERO_DATA)
+        E = params.grid.zeros()
+        E[5] = np.nan
+        state = KgzState(k=1, t_k=0.01, E_prev=params.grid.zeros(), E_curr=E,
+                         F_prev=params.grid.zeros(), F_curr=params.grid.zeros())
+        with pytest.raises(StabilityError) as excinfo:
+            step(state, params, layer)
+        assert excinfo.value.j == 5
+
 
 class TestReversibility:
     def test_one_step_round_trip(self):
@@ -341,6 +355,33 @@ class TestRun:
         assert resumed.k == state.k
         assert np.array_equal(resumed.E_curr, state.E_curr)
         assert np.array_equal(resumed.F_curr, state.F_curr)
+
+    @pytest.mark.parametrize("change", [{"tau": 0.02}, {"eps": 0.125}])
+    def test_interleaved_runs_match_solo_runs(self, change):
+        # the density factor is cached across steps; two runs on one grid
+        # that differ in the density matrix must never share a factor
+        data = preset_initial_data("gauss_sech")
+        base = toy_params(eps=0.25, M=48, tau=0.01)
+        runs = [base, replace(base, **change)]
+        layers = [build_layer(p, data) for p in runs]
+
+        def start(i):
+            return first_state(runs[i], data, layers[i])
+
+        solo = []
+        for i in range(2):
+            _density_factor.cache_clear()
+            state = start(i)
+            for _ in range(20):
+                state = step(state, runs[i], layers[i])
+            solo.append(state)
+        _density_factor.cache_clear()
+        states = [start(0), start(1)]
+        for _ in range(20):
+            states = [step(states[i], runs[i], layers[i]) for i in range(2)]
+        for got, want in zip(states, solo):
+            assert np.array_equal(got.E_curr, want.E_curr)
+            assert np.array_equal(got.F_curr, want.F_curr)
 
     def test_determinism(self):
         data = preset_initial_data("bump")
