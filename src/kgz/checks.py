@@ -5,6 +5,7 @@ linear algebra, brute-force summation, quadrature, or an exact algebraic
 identity. All of them run on desk-scale grids in well under a minute.
 """
 
+from collections import deque
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +25,7 @@ from .grid import (
 from .layer import InitialLayer
 from .limits import first_state_kg, step_kg, step_kg_back
 from .presets import preset_initial_data
-from .solver import InitialData, KgzParams, build_layer, first_state, step, step_back
+from .solver import InitialData, KgzParams, build_layer, first_state, march, step, step_back
 from .transforms import dst_forward, dst_inverse
 
 
@@ -133,44 +134,40 @@ def _toy_setup(eps=0.5, M=48, tau=0.01):
     grid = Grid1D(-6.0, 6.0, M)
     data = preset_initial_data("gauss_sech")
     params = KgzParams(eps=eps, alpha=1.0, beta=0.0, grid=grid, tau=tau, T=1.0)
-    return params, data
+    return params, data, build_layer(params, data)
+
+
+def _round_trip(name, state0, forward, back, n_steps, fields):
+    """March forward, march back, land on the initial state.
+
+    Compares both stored levels of each unknown named in ``fields`` ("EF"
+    or "E"), relative to the largest curr level among them.
+    """
+    state = deque(march(state0, forward, n_steps), maxlen=1).pop()
+    state = deque(march(state, back, n_steps), maxlen=1).pop()
+    scale = max(*(np.max(np.abs(getattr(state0, f + "_curr"))) for f in fields), 1e-30)
+    worst = max(
+        np.max(np.abs(getattr(state, f + lvl) - getattr(state0, f + lvl)))
+        for f in fields
+        for lvl in ("_prev", "_curr")
+    )
+    return _result(name, worst / scale, 1e-8)
 
 
 def check_reversibility_coupled(n_steps=100):
-    """March forward, march back, land on the initial state."""
-    params, data = _toy_setup()
-    layer = build_layer(params, data)
+    params, data, layer = _toy_setup()
+    forward = lambda s: step(s, params, layer)
+    back = lambda s: step_back(s, params, layer)
     state0 = first_state(params, data, layer)
-    state = state0
-    for _ in range(n_steps):
-        state = step(state, params, layer)
-    for _ in range(n_steps):
-        state = step_back(state, params, layer)
-    scale = max(np.max(np.abs(state0.E_curr)), np.max(np.abs(state0.F_curr)), 1e-30)
-    worst = max(
-        np.max(np.abs(state.E_prev - state0.E_prev)),
-        np.max(np.abs(state.E_curr - state0.E_curr)),
-        np.max(np.abs(state.F_prev - state0.F_prev)),
-        np.max(np.abs(state.F_curr - state0.F_curr)),
-    ) / scale
-    return _result("reversibility_coupled", worst, 1e-8)
+    return _round_trip("reversibility_coupled", state0, forward, back, n_steps, "EF")
 
 
 def check_reversibility_limit(n_steps=100):
-    params, data = _toy_setup()
-    layer = build_layer(params, data)
-    state0 = first_state_kg(params, data, layer, use_potential=True)
-    state = state0
-    for _ in range(n_steps):
-        state = step_kg(state, params, layer, use_potential=True)
-    for _ in range(n_steps):
-        state = step_kg_back(state, params, layer, use_potential=True)
-    scale = max(np.max(np.abs(state0.E_curr)), 1e-30)
-    worst = max(
-        np.max(np.abs(state.E_prev - state0.E_prev)),
-        np.max(np.abs(state.E_curr - state0.E_curr)),
-    ) / scale
-    return _result("reversibility_limit", worst, 1e-8)
+    params, data, layer = _toy_setup()
+    forward = lambda s: step_kg(s, params, layer)
+    back = lambda s: step_kg_back(s, params, layer)
+    state0 = first_state_kg(params, data, layer)
+    return _round_trip("reversibility_limit", state0, forward, back, n_steps, "E")
 
 
 def check_zero_fixed_point():
@@ -180,22 +177,18 @@ def check_zero_fixed_point():
     data = InitialData(E0=zero, E1=zero, omega0=zero, omega1=zero)
     params = KgzParams(eps=0.25, alpha=0.0, beta=-1.0, grid=grid, tau=0.05, T=1.0)
     layer = build_layer(params, data)
-    state = first_state(params, data, layer)
     worst = 0.0
-    for _ in range(10):
-        state = step(state, params, layer)
+    for state in march(first_state(params, data, layer), lambda s: step(s, params, layer), 10):
         worst = max(worst, np.max(np.abs(state.E_curr)), np.max(np.abs(state.F_curr)))
     passed = worst == 0.0
     return CheckResult("zero_fixed_point", passed, f"max |state| = {worst:.3e}")
 
 
 def check_dirichlet_boundary(n_steps=25):
-    params, data = _toy_setup(eps=0.2, M=64, tau=0.02)
-    layer = build_layer(params, data)
-    state = first_state(params, data, layer)
+    params, data, layer = _toy_setup(eps=0.2, M=64, tau=0.02)
     worst = 0.0
-    for _ in range(n_steps):
-        state = step(state, params, layer)
+    start = first_state(params, data, layer)
+    for state in march(start, lambda s: step(s, params, layer), n_steps):
         for v in (state.E_curr, state.F_curr):
             worst = max(worst, abs(v[0]), abs(v[-1]))
     passed = worst == 0.0

@@ -2,7 +2,12 @@
 
 
 class KgzError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``k`` and ``t`` locate a failure inside a time march (see kgz.solver.march).
+    """
+
+    k = t = None
 
 
 class ParameterError(KgzError, ValueError):

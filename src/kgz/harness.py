@@ -150,6 +150,10 @@ class FailedRow:
     tau: float
     message: str
 
+    def __post_init__(self):
+        for name in ("eps", "h", "tau"):
+            object.__setattr__(self, name, _f6(getattr(self, name)))
+
 
 @dataclass
 class RateTable:
@@ -328,21 +332,18 @@ def _solve_task(task):
         task["eps"], task["alpha"], task["beta"], task["h"], task["tau"], task["T"]
     )
     try:
+        if task["kind"] == "limit":
+            summary = _limit_summary(params, data, want_curves=task.get("want_curves", False))
+            return dict(summary, ok=True)
         if task["kind"] == "final":
             snap = run(params, data, [task["T"]])[0]
-            return {"ok": True, "E": snap.E, "F": snap.F, "N": snap.N, "t": snap.t}
-        if task["kind"] == "reference":
+        elif task["kind"] == "reference":
             snap = reference_solution(
                 params, data, task["refine_space"], task["refine_time"], [task["T"]]
             )[0]
-            return {"ok": True, "E": snap.E, "F": snap.F, "N": snap.N, "t": snap.t}
-        if task["kind"] == "limit":
-            summary = _limit_summary(
-                params, data, want_curves=task.get("want_curves", False)
-            )
-            summary["ok"] = True
-            return summary
-        raise ValueError(f"unknown task kind {task['kind']!r}")
+        else:
+            raise ValueError(f"unknown task kind {task['kind']!r}")
+        return {"ok": True, "E": snap.E, "F": snap.F, "N": snap.N, "t": snap.t}
     except KgzError as exc:
         return {"ok": False, "message": f"{type(exc).__name__}: {exc}"}
 
@@ -369,11 +370,6 @@ def _run_tasks(tasks, workers):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_solve_task, tasks))
     return [_solve_task(t) for t in tasks]
-
-
-def fit_slope(xs, ys):
-    """Least-squares slope of ys against xs."""
-    return float(np.polyfit(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 1)[0])
 
 
 def run_sweep(spec):
@@ -406,14 +402,16 @@ def run_sweep(spec):
         return _run_eps_limit(spec, alpha, beta, tau, meta)
 
     eps_order = sorted(spec.eps_list, reverse=True)
+    # (h, tau) of each level, coarsest first; the last one is also the
+    # level the per-eps reference is refined from
     if spec.mode == "spatial":
-        scales = [spec.h0 / 2**i for i in range(spec.levels)]
+        levels = [(spec.h0 / 2**i, tau) for i in range(spec.levels)]
         ref_kw = {"refine_space": spec.refine_space, "refine_time": 1}
     else:
-        scales = []
+        levels = []
         t = tau
         for _ in range(spec.levels):
-            scales.append(t)
+            levels.append((spec.h0, t))
             t /= 2.0
         ref_kw = {"refine_space": 1, "refine_time": spec.refine_time}
 
@@ -426,12 +424,9 @@ def run_sweep(spec):
             "eps": eps,
             "T": spec.T,
         }
-        for s in scales:
-            h = s if spec.mode == "spatial" else spec.h0
-            tt = tau if spec.mode == "spatial" else s
+        for h, tt in levels:
             tasks.append(dict(base, kind="final", h=h, tau=tt))
-        h_fine = scales[-1] if spec.mode == "spatial" else spec.h0
-        t_fine = tau if spec.mode == "spatial" else scales[-1]
+        h_fine, t_fine = levels[-1]
         tasks.append(dict(base, kind="reference", h=h_fine, tau=t_fine, **ref_kw))
 
     results = _run_tasks(tasks, spec.workers)
@@ -439,28 +434,21 @@ def run_sweep(spec):
     table = RateTable(meta=meta)
     i = 0
     for eps in eps_order:
-        level_results = results[i : i + len(scales)]
-        ref = results[i + len(scales)]
-        i += len(scales) + 1
+        level_results = results[i : i + len(levels)]
+        ref = results[i + len(levels)]
+        i += len(levels) + 1
         prev_errs = None
-        for lvl, (s, res) in enumerate(zip(scales, level_results)):
-            h = s if spec.mode == "spatial" else spec.h0
-            tt = tau if spec.mode == "spatial" else s
+        for lvl, ((h, tt), res) in enumerate(zip(levels, level_results)):
             grid = grid_for(eps, h)
             if not res["ok"] or not ref["ok"]:
                 msg = res.get("message") or ref.get("message", "reference failed")
-                table.failures.append(
-                    FailedRow(eps=_f6(eps), h=_f6(grid.h), tau=_f6(tt), message=msg)
-                )
+                table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tt, message=msg))
                 prev_errs = None
                 continue
-            if spec.mode == "spatial":
-                stride = 2 ** (spec.levels - 1 - lvl)
-                ref_snap = Snapshot(
-                    t=ref["t"], E=ref["E"][::stride], F=ref["F"][::stride], N=ref["N"][::stride]
-                )
-            else:
-                ref_snap = Snapshot(t=ref["t"], E=ref["E"], F=ref["F"], N=ref["N"])
+            stride = 2 ** (spec.levels - 1 - lvl) if spec.mode == "spatial" else 1
+            ref_snap = Snapshot(
+                t=ref["t"], E=ref["E"][::stride], F=ref["F"][::stride], N=ref["N"][::stride]
+            )
             num_snap = Snapshot(t=res["t"], E=res["E"], F=res["F"], N=res["N"])
             try:
                 e_err, n_err = error_metrics(num_snap, ref_snap, grid)
@@ -475,12 +463,8 @@ def run_sweep(spec):
                     e_err=e_err, n_err=n_err, rate_e=rate_e, rate_n=rate_n,
                 )
             except KgzError as exc:
-                table.failures.append(
-                    FailedRow(
-                        eps=_f6(eps), h=_f6(grid.h), tau=_f6(tt),
-                        message=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                message = f"{type(exc).__name__}: {exc}"
+                table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tt, message=message))
                 prev_errs = None
                 continue
             table.rows.append(row)
@@ -491,31 +475,34 @@ def run_sweep(spec):
     return table
 
 
-def _run_eps_limit(spec, alpha, beta, tau, meta):
-    eps_order = sorted(spec.eps_list, reverse=True)
-    tasks = [
-        {
-            "preset": spec.preset,
-            "alpha": alpha,
-            "beta": beta,
-            "eps": eps,
-            "h": spec.h0,
-            "tau": tau,
-            "T": spec.T,
-            "kind": "limit",
-        }
-        for eps in eps_order
+def _limit_tasks(preset, alpha, beta, eps_list, h, tau, T, **extra):
+    """One ``kind="limit"`` task per eps, largest eps first."""
+    return [
+        dict(preset=preset, alpha=alpha, beta=beta, eps=eps, h=h, tau=tau, T=T, kind="limit",
+             **extra)
+        for eps in sorted(eps_list, reverse=True)
     ]
+
+
+def _eta_slope(points):
+    """Slope of log2 max_eta_e against log2 eps; None below two (eps, max_eta_e) points."""
+    if len(points) < 2:
+        return None
+    xs, ys = ([math.log2(v) for v in column] for column in zip(*points))
+    return float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
+
+
+def _run_eps_limit(spec, alpha, beta, tau, meta):
+    tasks = _limit_tasks(spec.preset, alpha, beta, spec.eps_list, spec.h0, tau, spec.T)
     results = _run_tasks(tasks, spec.workers)
     table = RateTable(meta=meta)
     meta["eps_limit_columns"] = "e_err:max_eta_e,n_err:max_f_l2_over_eps"
     points = []
-    for eps, res in zip(eps_order, results):
+    for task, res in zip(tasks, results):
+        eps = task["eps"]
         grid = grid_for(eps, spec.h0)
         if not res["ok"]:
-            table.failures.append(
-                FailedRow(eps=_f6(eps), h=_f6(grid.h), tau=_f6(tau), message=res["message"])
-            )
+            table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tau, message=res["message"]))
             continue
         try:
             row = ErrorRow(
@@ -523,19 +510,13 @@ def _run_eps_limit(spec, alpha, beta, tau, meta):
                 e_err=res["max_eta_e"], n_err=res["max_f_over_eps"],
             )
         except ParameterError as exc:  # a non-finite metric
-            table.failures.append(
-                FailedRow(
-                    eps=_f6(eps), h=_f6(grid.h), tau=_f6(tau),
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            message = f"{type(exc).__name__}: {exc}"
+            table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tau, message=message))
             continue
         table.rows.append(row)
         points.append((eps, res["max_eta_e"]))
-    if len(points) >= 2:
-        slope = fit_slope(
-            [math.log2(p[0]) for p in points], [math.log2(p[1]) for p in points]
-        )
+    slope = _eta_slope(points)
+    if slope is not None:
         meta["eta_slope"] = f"{_f6(slope):.5E}"
     if spec.out_path:
         write_table(table, spec.out_path)
@@ -550,20 +531,7 @@ def limit_study(preset, case, eps_list, h, tau, T=1.0, alpha=None, beta=None, ou
         raise ParameterError(
             "limit metrics need at least 4 time levels; decrease tau or increase T"
         )
-    tasks = [
-        {
-            "preset": preset,
-            "alpha": alpha,
-            "beta": beta,
-            "eps": eps,
-            "h": h,
-            "tau": tau,
-            "T": T,
-            "kind": "limit",
-            "want_curves": True,
-        }
-        for eps in sorted(eps_list, reverse=True)
-    ]
+    tasks = _limit_tasks(preset, alpha, beta, eps_list, h, tau, T, want_curves=True)
     results = _run_tasks(tasks, workers)
     summary = {"per_eps": {}, "slope": None}
     lines = ["# kgz limit study", f"# preset={preset}", f"# case={case}",
@@ -582,22 +550,10 @@ def limit_study(preset, case, eps_list, h, tau, T=1.0, alpha=None, beta=None, ou
             "max_f_over_eps": res["max_f_over_eps"],
         }
         points.append((eps, res["max_eta_e"]))
-        for k in range(len(curves.times)):
-            body.append(
-                ",".join(
-                    [
-                        _fmt(eps),
-                        _fmt(curves.times[k]),
-                        _fmt(curves.eta_2[k]),
-                        _fmt(curves.eta_inf[k]),
-                        _fmt(curves.eta_e[k]),
-                    ]
-                )
-            )
-    if len(points) >= 2:
-        summary["slope"] = fit_slope(
-            [math.log2(p[0]) for p in points], [math.log2(p[1]) for p in points]
-        )
+        for row in zip(curves.times, curves.eta_2, curves.eta_inf, curves.eta_e):
+            body.append(",".join(_fmt(v) for v in (eps, *row)))
+    summary["slope"] = _eta_slope(points)
+    if summary["slope"] is not None:
         lines.append(f"# eta_slope={summary['slope']:.6f}")
     lines.append("eps,t,eta_2,eta_inf,eta_e")
     lines.extend(body)

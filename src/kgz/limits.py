@@ -1,9 +1,10 @@
 """Limiting Klein-Gordon solvers and the vanishing-eps diagnostics.
 
 The limit model drops the density coupling; optionally it keeps the
-oscillatory layer as a potential. Its stencil mirrors the coupled scheme
-with F frozen at zero, so differences between the two trajectories measure
-the coupling effect rather than scheme differences.
+oscillatory layer as a potential. It is not a second scheme: its start and
+step are those of :mod:`kgz.solver` with F = 0 and no density solve, so
+differences between the two trajectories measure the coupling effect
+rather than scheme differences.
 """
 
 from dataclasses import dataclass
@@ -11,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .grid import grid_norms, inner_product, second_difference
-from .solver import _field_accel, _solve_field
+from .grid import grid_norms, inner_product
+from .solver import _advance, _taylor_start, march
+from .solver import _solve_field  # noqa: F401  perfbench/tracer.py wraps this name here
 
 
 @dataclass(frozen=True)
@@ -36,47 +38,32 @@ def first_state_kg(params, data, layer, use_potential=True):
     With the potential on, the initial field acceleration is the same as in
     the coupled system; plain Klein-Gordon drops the incompatibility term.
     """
-    E0, E1, w0, _ = data.sample(params.grid)
-    tau = params.tau
-    if use_potential:
-        ddE = _field_accel(E0, w0, params)
-    else:
-        ddE = second_difference(E0, params.grid) - E0 + E0**3
-    E1_level = E0 + tau * E1 + 0.5 * tau**2 * ddE
-    E1_level[0] = 0.0
-    E1_level[-1] = 0.0
-    return KgState(k=1, t_k=tau, E_prev=E0, E_curr=E1_level)
+    E0, E1, _ = _taylor_start(params, data, layer, use_potential)
+    return KgState(k=1, t_k=params.tau, E_prev=E0, E_curr=E1)
 
 
 def step_kg(state, params, layer, use_potential=True):
     """One forward step of the limit model."""
-    Ek, Em = state.E_curr, state.E_prev
-    c = 1.0 - Ek**2
-    if use_potential:
-        c = c + layer.averaged_wave(state.t_k, params.tau)
-    E_next = _solve_field(Ek, Em, c, params)
+    potential = layer if use_potential else None
+    E, _ = _advance(state.E_curr, state.E_prev, None, None, state.t_k, params, potential)
     k = state.k + 1
-    return KgState(k=k, t_k=k * params.tau, E_prev=Ek, E_curr=E_next)
+    return KgState(k=k, t_k=k * params.tau, E_prev=state.E_curr, E_curr=E)
 
 
 def step_kg_back(state, params, layer, use_potential=True):
     """One backward step, centered at the prev level (see solver.step_back)."""
-    Ek, Ep = state.E_prev, state.E_curr
-    c = 1.0 - Ek**2
-    if use_potential:
-        c = c + layer.averaged_wave(state.t_k - params.tau, params.tau)
-    E_before = _solve_field(Ek, Ep, c, params)
+    tau, potential = params.tau, (layer if use_potential else None)
+    E, _ = _advance(state.E_prev, state.E_curr, None, None, state.t_k - tau, params, potential)
     k = state.k - 1
-    return KgState(k=k, t_k=k * params.tau, E_prev=E_before, E_curr=Ek)
+    return KgState(k=k, t_k=k * tau, E_prev=E, E_curr=state.E_prev)
 
 
 def trajectory_kg(params, data, layer, use_potential=True):
     K = params.n_steps()
     state = first_state_kg(params, data, layer, use_potential)
     E = np.empty((K + 1, params.grid.M + 1))
-    E[0], E[1] = state.E_prev, state.E_curr
-    for _ in range(K - 1):
-        state = step_kg(state, params, layer, use_potential)
+    E[0] = state.E_prev
+    for state in march(state, lambda s: step_kg(s, params, layer, use_potential), K - 1):
         E[state.k] = state.E_curr
     return KgTrajectory(eps=params.eps, times=np.arange(K + 1) * params.tau, E=E)
 

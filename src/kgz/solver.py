@@ -6,6 +6,11 @@ step solves two strictly diagonally dominant tridiagonal systems: first the
 field E (its system needs the averaged layer potential at the current time),
 then F, whose source term consumes the freshly computed field level.
 
+The scheme is one symmetric three-level stencil, written once in
+``_advance``; backward steps swap its outer levels, and the eps -> 0+ limit
+model of :mod:`kgz.limits` is the same stencil with F = 0 and no density
+solve. One generator, ``march``, owns the time loop of every driver.
+
 The field matrix depends on the current level and is solved afresh each
 step. The density matrix depends only on (M, h, tau, eps), so it is
 LU-factored once per run and every step reuses the factor; on these
@@ -20,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, StabilityError
+from .errors import KgzError, ParameterError, ShapeError, StabilityError
 from .grid import (
     Grid1D,
     factor_tridiagonal,
@@ -139,27 +144,37 @@ def _field_accel(E0, w0, params):
     return second_difference(E0, grid) - E0 - n0 * E0
 
 
-def first_state(params, data, layer):
-    """State at k = 1 from the Taylor start; level 0 carries the raw data."""
+def _taylor_start(params, data, layer, use_potential=True):
+    """E at levels 0 (the raw data) and 1 (a Taylor step), and F at level 1 (0 at level 0).
+
+    ``use_potential=False`` (plain Klein-Gordon) drops w0 from the field acceleration.
+    """
     if layer.grid != params.grid:
         raise ShapeError("layer and params use different grids")
+    for name in ("eps", "alpha", "beta"):
+        built, wanted = getattr(layer, name), getattr(params, name)
+        if built != wanted:
+            raise ParameterError(f"layer was built for {name}={built}, the run has {name}={wanted}")
     E0, E1, w0, _ = data.sample(params.grid)
     tau = params.tau
-    ddE = _field_accel(E0, w0, params)
+    if use_potential:
+        ddE = _field_accel(E0, w0, params)
+    else:
+        ddE = second_difference(E0, params.grid) - E0 + E0**3
     ddF = 2.0 * E1**2 + 2.0 * E0 * ddE
     E1_level = E0 + tau * E1 + 0.5 * tau**2 * ddE
     F1_level = 0.5 * tau**2 * ddF
     for v in (E1_level, F1_level):
         v[0] = 0.0
         v[-1] = 0.0
-    return KgzState(
-        k=1,
-        t_k=tau,
-        E_prev=E0,
-        E_curr=E1_level,
-        F_prev=params.grid.zeros(),
-        F_curr=F1_level,
-    )
+    return E0, E1_level, F1_level
+
+
+def first_state(params, data, layer):
+    """State at k = 1 from the Taylor start; level 0 carries the raw data."""
+    E0, E1, F1 = _taylor_start(params, data, layer)
+    zeros = params.grid.zeros()
+    return KgzState(k=1, t_k=params.tau, E_prev=E0, E_curr=E1, F_prev=zeros, F_curr=F1)
 
 
 def _solve_field(E_curr, E_prev, c, params):
@@ -218,43 +233,63 @@ def _solve_density(F_curr, F_prev, dt2_E2, params):
     return F_next
 
 
+def _advance(E_mid, E_out, F_mid, F_out, t_mid, params, layer):
+    """The symmetric three-level stencil: (E, F) at the outer level not given.
+
+    A forward step passes (curr, prev), a backward step (prev, curr). The
+    limit model is this stencil with F = 0: ``F_mid = None`` drops F from
+    the field coefficient and skips the density solve (F comes back None).
+    Plain Klein-Gordon also passes ``layer = None``, dropping the potential.
+    """
+    tau = params.tau
+    Ek2 = E_mid**2
+    c = 1.0 - Ek2
+    if F_mid is not None:
+        c = c + F_mid
+    if layer is not None:
+        c = c + layer.averaged_wave(t_mid, tau)
+    E_new = _solve_field(E_mid, E_out, c, params)
+    if F_mid is None:
+        return E_new, None
+    dt2_E2 = (E_new**2 - 2.0 * Ek2 + E_out**2) / tau**2
+    return E_new, _solve_density(F_mid, F_out, dt2_E2, params)
+
+
 def step(state, params, layer):
     """One forward step; the equations are centered at the curr level."""
-    tau = params.tau
-    Ek, Em = state.E_curr, state.E_prev
-    Fk, Fm = state.F_curr, state.F_prev
-    H = layer.averaged_wave(state.t_k, tau)
-    Ek2 = Ek**2
-    c = 1.0 - Ek2 + Fk + H
-    E_next = _solve_field(Ek, Em, c, params)
-    dt2_E2 = (E_next**2 - 2.0 * Ek2 + Em**2) / tau**2
-    F_next = _solve_density(Fk, Fm, dt2_E2, params)
-    k = state.k + 1
-    return KgzState(k=k, t_k=k * tau, E_prev=Ek, E_curr=E_next, F_prev=Fk, F_curr=F_next)
+    s = state
+    E, F = _advance(s.E_curr, s.E_prev, s.F_curr, s.F_prev, s.t_k, params, layer)
+    k = s.k + 1
+    return KgzState(k=k, t_k=k * params.tau, E_prev=s.E_curr, E_curr=E, F_prev=s.F_curr, F_curr=F)
 
 
 def step_back(state, params, layer):
     """One backward step, centered at the prev level.
 
-    The stencil is symmetric in the two outer levels, so solving for the
-    earlier level reuses the forward system verbatim with the roles of the
-    stored levels swapped; the averaged potential is evaluated at the time
-    of the prev level, the same value the matching forward step used.
+    The averaged potential is taken at the time of the prev level, the same
+    value the matching forward step used.
     """
-    tau = params.tau
-    t_mid = state.t_k - tau
-    Ek, Ep = state.E_prev, state.E_curr  # middle level, later level
-    Fk, Fp = state.F_prev, state.F_curr
-    H = layer.averaged_wave(t_mid, tau)
-    Ek2 = Ek**2
-    c = 1.0 - Ek2 + Fk + H
-    E_before = _solve_field(Ek, Ep, c, params)
-    dt2_E2 = (Ep**2 - 2.0 * Ek2 + E_before**2) / tau**2
-    F_before = _solve_density(Fk, Fp, dt2_E2, params)
-    k = state.k - 1
-    return KgzState(
-        k=k, t_k=k * tau, E_prev=E_before, E_curr=Ek, F_prev=F_before, F_curr=Fk
-    )
+    s, tau = state, params.tau
+    E, F = _advance(s.E_prev, s.E_curr, s.F_prev, s.F_curr, s.t_k - tau, params, layer)
+    k = s.k - 1
+    return KgzState(k=k, t_k=k * tau, E_prev=E, E_curr=s.E_prev, F_prev=F, F_curr=s.F_prev)
+
+
+def march(state, advance, n_steps):
+    """The one time loop: yield ``state``, then ``n_steps`` states, each ``advance`` of the last.
+
+    A KgzError raised in a step leaves with ``k`` and ``t`` set to the level
+    and time the step started from, both also appended to its message.
+    """
+    yield state
+    for _ in range(n_steps):
+        try:
+            state = advance(state)
+        except KgzError as exc:
+            exc.k, exc.t = state.k, state.t_k
+            exc.args = (f"{exc} (in the step from k={state.k}, t={state.t_k:g})", *exc.args[1:])
+            raise
+        yield state
 
 
 def density_at(E, F, t, layer):
@@ -295,17 +330,12 @@ def run(params, data, snapshot_times=None):
     K, idx = _snapshot_indices(params, snapshot_times)
     layer = build_layer(params, data)
     state = first_state(params, data, layer)
-    levels = {}
-    if 0 in idx:
-        levels[0] = (state.E_prev, state.F_prev)
-    if 1 in idx:
-        levels[1] = (state.E_curr, state.F_curr)
-    for _ in range(K - 1):
-        state = step(state, params, layer)
+    levels = {0: (state.E_prev, state.F_prev)} if 0 in idx else {}
+    for state in march(state, lambda s: step(s, params, layer), K - 1):
         if state.k in idx:
             levels[state.k] = (state.E_curr, state.F_curr)
     snaps = []
-    for t, k in zip(snapshot_times, idx):
+    for k in idx:
         E, F = levels[k]
         snaps.append(Snapshot(t=k * params.tau, E=E, F=F, N=density_at(E, F, k * params.tau, layer)))
     return snaps
@@ -319,9 +349,7 @@ def trajectory(params, data):
     E = np.empty((K + 1, params.grid.M + 1))
     F = np.empty_like(E)
     E[0], F[0] = state.E_prev, state.F_prev
-    E[1], F[1] = state.E_curr, state.F_curr
-    for _ in range(K - 1):
-        state = step(state, params, layer)
+    for state in march(state, lambda s: step(s, params, layer), K - 1):
         E[state.k], F[state.k] = state.E_curr, state.F_curr
     times = np.arange(K + 1) * params.tau
     return Trajectory(eps=params.eps, times=times, E=E, F=F)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from kgz import InitialData, presets
 from kgz.cli import main
 from kgz.harness import read_table
 
@@ -42,6 +43,26 @@ class TestSolve:
             assert rows.shape == (125, 4)
             assert np.all(np.isfinite(rows))
             assert meta["domain"] == "(-31, 31)"
+
+    def test_blow_up_exits_2_and_writes_no_snapshot(self, tmp_path, monkeypatch, capsys):
+        # E0 = 5 at x = 0 makes the first step lose diagonal dominance
+        def zero(x):
+            return np.zeros_like(x)
+
+        def blow_up():
+            return InitialData(E0=lambda x: 5.0 * np.exp(-(x**2)), E1=zero, omega0=zero, omega1=zero)
+
+        monkeypatch.setitem(presets._PRESETS, "blow_up", blow_up)
+        code = main(
+            [
+                "solve", "--preset", "blow_up", "--case", "I", "--eps", "0.5", "--h", "0.25",
+                "--tau", "0.5", "--T", "2", "--domain=-6,6", "--out", str(tmp_path / "sol"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: StabilityError" in err and "k=1, t=0.5" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_preset_exits_1(self, capsys):
         code = main(["solve", "--preset", "nope", "--eps", "0.5"])

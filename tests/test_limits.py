@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from kgz import (
     InitialData,
     InitialLayer,
     KgzParams,
+    KgzState,
+    ParameterError,
     ShapeError,
     Trajectory,
     build_layer,
@@ -14,6 +18,8 @@ from kgz import (
     grid_norms,
     kg_energy,
     limit_metrics,
+    step,
+    step_back,
     step_kg,
     step_kg_back,
     trajectory,
@@ -65,6 +71,25 @@ class TestFirstState:
         diff = plain.E_curr - with_pot.E_curr
         assert np.max(np.abs(diff - expected)) <= 1e-15
 
+    @pytest.mark.parametrize("start", [first_state_kg, trajectory_kg])
+    @pytest.mark.parametrize(
+        "change", [{"grid": Grid1D(-8.0, 8.0, 48)}, {"eps": 0.125}, {"alpha": 0.0}, {"beta": -1.0}],
+        ids=["grid", "eps", "alpha", "beta"],
+    )
+    def test_rejects_layer_built_for_another_run(self, start, change):
+        data = preset_initial_data("gauss_sech")
+        params = toy_params(eps=0.5, M=48, tau=0.01, T=0.1, alpha=1.0, beta=0.0)
+        layer = build_layer(replace(params, **change), data)
+        if "grid" in change:
+            with pytest.raises(ShapeError, match="different grids"):
+                start(params, data, layer)
+            return
+        (name,) = change
+        with pytest.raises(ParameterError) as excinfo:
+            start(params, data, layer)
+        for value in (getattr(layer, name), getattr(params, name)):
+            assert f"{name}={value}" in str(excinfo.value)
+
 
 class TestStep:
     def test_zero_fixed_point(self):
@@ -115,6 +140,21 @@ class TestStep:
         back = step_kg_back(step_kg(state, params, layer), params, layer)
         scale = np.max(np.abs(state.E_prev))
         assert np.max(np.abs(back.E_prev - state.E_prev)) <= 1e-10 * scale
+
+    def test_coupled_step_with_zero_density_is_the_limit_step(self):
+        # the limit model is the coupled stencil with F = 0, in both directions
+        data = preset_initial_data("gauss_sech")
+        params = toy_params(eps=0.3, M=64, tau=0.02)
+        layer = build_layer(params, data)
+        state = first_state_kg(params, data, layer)
+        for _ in range(3):
+            state = step_kg(state, params, layer)
+        zeros = params.grid.zeros()
+        coupled = KgzState(k=state.k, t_k=state.t_k, E_prev=state.E_prev, E_curr=state.E_curr,
+                           F_prev=zeros, F_curr=zeros)
+        assert np.array_equal(step(coupled, params, layer).E_curr, step_kg(state, params, layer).E_curr)
+        back, back_kg = step_back(coupled, params, layer), step_kg_back(state, params, layer)
+        assert np.array_equal(back.E_prev, back_kg.E_prev)
 
     def test_no_incompatibility_matches_plain_kg(self):
         # zero omegas make the potential identically zero

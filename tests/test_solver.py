@@ -10,6 +10,7 @@ from kgz import (
     KgzParams,
     KgzState,
     ParameterError,
+    ShapeError,
     StabilityError,
     build_layer,
     density_at,
@@ -166,6 +167,24 @@ class TestFirstState:
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(extrapolated - expected)) <= 1e-4 * scale
 
+    @pytest.mark.parametrize(
+        "change", [{"grid": Grid1D(-8.0, 8.0, 32)}, {"eps": 0.125}, {"alpha": 0.0}, {"beta": -1.0}],
+        ids=["grid", "eps", "alpha", "beta"],
+    )
+    def test_rejects_layer_built_for_another_run(self, change):
+        data = preset_initial_data("gauss_sech")
+        params = toy_params(eps=0.5, alpha=1.0, beta=0.0)
+        layer = build_layer(replace(params, **change), data)
+        if "grid" in change:
+            with pytest.raises(ShapeError, match="different grids"):
+                first_state(params, data, layer)
+            return
+        (name,) = change
+        with pytest.raises(ParameterError) as excinfo:
+            first_state(params, data, layer)
+        for value in (getattr(layer, name), getattr(params, name)):
+            assert f"{name}={value}" in str(excinfo.value)
+
 
 class TestStep:
     def test_zero_fixed_point(self):
@@ -254,6 +273,19 @@ class TestStep:
             step(state, params, layer)
         assert excinfo.value.j == 5
 
+    @pytest.mark.parametrize("drive", [run, trajectory])
+    def test_blow_up_in_a_run_reports_step_and_time(self, drive):
+        # E0 = 5 at x = 0 puts the first step's field coefficient at c = -214
+        data = InitialData(
+            E0=lambda x: 5.0 * np.exp(-(x**2)), E1=zero_fn, omega0=zero_fn, omega1=zero_fn
+        )
+        params = toy_params(eps=0.5, M=48, tau=0.5, T=2.0)
+        with pytest.raises(StabilityError) as excinfo:
+            drive(params, data)
+        err = excinfo.value
+        assert (err.j, err.k, err.t) == (24, 1, 0.5)
+        assert "node 24" in str(err) and "k=1, t=0.5" in str(err)
+
 
 class TestReversibility:
     def test_one_step_round_trip(self):
@@ -328,6 +360,10 @@ class TestRun:
         assert np.array_equal(snaps[1].E, state1.E_curr)
         assert np.array_equal(snaps[2].E, state2.E_curr)
         assert np.array_equal(snaps[2].F, state2.F_curr)
+        traj = trajectory(params, data)
+        for snap, E, F in zip(snaps, traj.E, traj.F, strict=True):
+            assert np.array_equal(snap.E, E)
+            assert np.array_equal(snap.F, F)
 
     def test_zero_data_trajectory(self):
         params = toy_params(tau=0.1, T=0.5)
