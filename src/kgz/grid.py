@@ -16,15 +16,16 @@ from .errors import IllConditionedError, ParameterError, ShapeError, SingularSys
 RESIDUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid1D:
     """Uniform mesh with M cells on [a, b]; nodes x_j = a + j*h, j = 0..M."""
 
     a: float
     b: float
     M: int
-    h: float = field(init=False)
-    nodes: np.ndarray = field(init=False, repr=False)
+    # both follow from (a, b, M), so equality and hashing use those alone
+    h: float = field(init=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M < 2:
@@ -34,17 +35,6 @@ class Grid1D:
         object.__setattr__(self, "h", (self.b - self.a) / self.M)
         # linspace pins both endpoints exactly
         object.__setattr__(self, "nodes", np.linspace(self.a, self.b, self.M + 1))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid1D)
-            and self.a == other.a
-            and self.b == other.b
-            and self.M == other.M
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.M))
 
     @property
     def length(self):
@@ -88,12 +78,23 @@ def forward_difference(u, grid):
 
 
 def grid_norms(u, grid):
-    """Discrete L2, H1 seminorm and max norm of a grid function."""
-    u = _require_grid_fn(u, grid)
-    l2 = np.sqrt(grid.h * np.sum(u[1:-1] ** 2))
-    d = forward_difference(u, grid)
-    h1 = np.sqrt(grid.h * np.sum(d**2))
-    return GridNorms(float(l2), float(h1), float(np.max(np.abs(u))))
+    """Discrete L2, H1 seminorm and max norm of a grid function.
+
+    ``u`` may also be a stack of grid functions, one per row (such as every
+    time level of a trajectory); the norms then come back as arrays with one
+    entry per row, bit for bit those of the row by row calls.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[-1] != grid.M + 1:
+        raise ShapeError(f"grid function(s) of shape {u.shape}, grid wants rows of {grid.M + 1}")
+    l2 = np.sqrt(grid.h * np.sum(u[..., 1:-1] ** 2, axis=-1))
+    # one expression, so that numpy reuses its temporary for the division
+    # and the square: a stack then costs one extra array of its size
+    h1 = np.sqrt(grid.h * np.sum(((u[..., 1:] - u[..., :-1]) / grid.h) ** 2, axis=-1))
+    inf = np.max(np.abs(u), axis=-1)
+    if u.ndim == 1:
+        return GridNorms(float(l2), float(h1), float(inf))
+    return GridNorms(l2, h1, inf)
 
 
 def inner_product(u, v, grid):

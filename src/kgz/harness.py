@@ -24,9 +24,9 @@ from .solver import (
     KgzParams,
     Snapshot,
     build_layer,
-    density_at,
     run,
     trajectory,
+    whole_steps,
 )
 
 
@@ -45,11 +45,10 @@ def aligned_tau(T, tau):
     """Largest step <= tau that divides T; flags whether it was adjusted."""
     if tau <= 0 or T <= 0:
         raise ParameterError("T and tau must be positive")
-    q = T / tau
-    k = round(q)
-    if k >= 1 and abs(q - k) <= ALIGN_RTOL * max(1.0, q):
-        return tau, int(k), False
-    k = math.ceil(q)
+    k = whole_steps(T, tau)
+    if k is not None and k >= 1:
+        return tau, k, False
+    k = math.ceil(T / tau)
     return T / k, int(k), True
 
 
@@ -85,32 +84,27 @@ def reference_solution(params, data, refine_space=8, refine_time=1, times=None):
     return [Snapshot(t=sn.t, E=sn.E[::s], F=sn.F[::s], N=sn.N[::s]) for sn in snaps]
 
 
-def error_metrics(numeric, reference, grid, layer=None):
+def error_metrics(numeric, reference, grid):
     """Relative field and density errors of a snapshot against a reference.
 
     The field error uses the composite discrete H1 norm (L2 plus seminorm)
     in both numerator and denominator; the density error is relative L2.
+    Both snapshots must carry their density N.
     """
-    if numeric.E.shape != (grid.M + 1,) or reference.E.shape != (grid.M + 1,):
-        raise ShapeError("snapshots do not match the grid")
+    for snap in (numeric, reference):
+        if snap.E.shape != (grid.M + 1,) or snap.N is None:
+            raise ShapeError("snapshots do not match the grid or lack a density field")
     if abs(numeric.t - reference.t) > ALIGN_RTOL * max(1.0, abs(reference.t)):
         raise ShapeError(
             f"snapshots taken at different times: {numeric.t} vs {reference.t}"
         )
 
-    def _density(snap):
-        if snap.N is not None:
-            return snap.N
-        if layer is None:
-            raise ShapeError("snapshot lacks a density field and no layer was given")
-        return density_at(snap.E, snap.F, snap.t, layer)
-
     e = reference.E - numeric.E
     ne = grid_norms(e, grid)
     nE = grid_norms(reference.E, grid)
     denom_e = nE.l2 + nE.h1_semi
-    n = _density(reference) - _density(numeric)
-    denom_n = grid_norms(_density(reference), grid).l2
+    n = reference.N - numeric.N
+    denom_n = grid_norms(reference.N, grid).l2
     if denom_e <= 0 or denom_n <= 0:
         raise DegenerateProblemError("reference solution is identically zero")
     return (ne.l2 + ne.h1_semi) / denom_e, grid_norms(n, grid).l2 / denom_n
@@ -161,16 +155,10 @@ class RateTable:
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RateTable)
-            and self.meta == other.meta
-            and self.rows == other.rows
-            and self.failures == other.failures
-        )
 
-
-_HEADER = "eps,h,tau,t,e_err,n_err,rate_e,rate_n"
+# the CSV columns are the ErrorRow fields, in order
+_COLUMNS = ("eps", "h", "tau", "t", "e_err", "n_err", "rate_e", "rate_n")
+_HEADER = ",".join(_COLUMNS)
 
 
 def write_table(table, path):
@@ -182,20 +170,7 @@ def write_table(table, path):
         lines.append(f"# failed eps={_fmt(fr.eps)} h={_fmt(fr.h)} tau={_fmt(fr.tau)} {fr.message}")
     lines.append(_HEADER)
     for r in table.rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.eps),
-                    _fmt(r.h),
-                    _fmt(r.tau),
-                    _fmt(r.t),
-                    _fmt(r.e_err),
-                    _fmt(r.n_err),
-                    _fmt(r.rate_e),
-                    _fmt(r.rate_n),
-                ]
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, name)) for name in _COLUMNS))
     for fr in table.failures:
         lines.append(
             ",".join([_fmt(fr.eps), _fmt(fr.h), _fmt(fr.tau), "", "ERROR", "ERROR", "", ""])
@@ -251,19 +226,8 @@ def read_table(path):
                     )
                 )
                 continue
-            vals = [float(c) if c else None for c in cells]
-            rows.append(
-                ErrorRow(
-                    eps=vals[0],
-                    h=vals[1],
-                    tau=vals[2],
-                    t=vals[3],
-                    e_err=vals[4],
-                    n_err=vals[5],
-                    rate_e=vals[6],
-                    rate_n=vals[7],
-                )
-            )
+            vals = (float(c) if c else None for c in cells)
+            rows.append(ErrorRow(**dict(zip(_COLUMNS, vals))))
     return RateTable(meta=meta, rows=rows, failures=failures)
 
 
@@ -316,6 +280,8 @@ class SweepSpec:
         )
         if out.levels < 2:
             raise ParameterError(f"levels must be >= 2, got {out.levels}")
+        _check_refine(out.refine_space, "refine_space")
+        _check_refine(out.refine_time, "refine_time")
         for eps in out.eps_list:
             if not 0 < eps <= 1:
                 raise ParameterError(f"eps values must lie in (0, 1], got {eps}")
@@ -333,8 +299,7 @@ def _solve_task(task):
     )
     try:
         if task["kind"] == "limit":
-            summary = _limit_summary(params, data, want_curves=task.get("want_curves", False))
-            return dict(summary, ok=True)
+            return dict(_limit_summary(params, data), ok=True)
         if task["kind"] == "final":
             snap = run(params, data, [task["T"]])[0]
         elif task["kind"] == "reference":
@@ -348,21 +313,19 @@ def _solve_task(task):
         return {"ok": False, "message": f"{type(exc).__name__}: {exc}"}
 
 
-def _limit_summary(params, data, want_curves=False):
+def _limit_summary(params, data):
+    """The limit metrics of one eps: their maxima, and the curves as a LimitMetrics."""
     layer = build_layer(params, data)
     coupled = trajectory(params, data)
     limit = trajectory_kg(params, data, layer, use_potential=True)
     metrics = limit_metrics(coupled, limit, params.grid, params.tau)
     k_star = int(np.argmax(metrics.eta_e))
-    f_l2 = np.array([grid_norms(Fk, params.grid).l2 for Fk in coupled.F])
-    out = {
+    return {
         "max_eta_e": float(metrics.eta_e[k_star]),
         "t_max": float(metrics.times[k_star]),
-        "max_f_over_eps": float(np.max(f_l2) / params.eps),
+        "max_f_over_eps": float(np.max(grid_norms(coupled.F, params.grid).l2) / params.eps),
+        "curves": metrics,
     }
-    if want_curves:
-        out["curves"] = metrics
-    return out
 
 
 def _run_tasks(tasks, workers):
@@ -475,11 +438,14 @@ def run_sweep(spec):
     return table
 
 
-def _limit_tasks(preset, alpha, beta, eps_list, h, tau, T, **extra):
-    """One ``kind="limit"`` task per eps, largest eps first."""
+def _limit_tasks(preset, alpha, beta, eps_list, h, tau, T):
+    """One ``kind="limit"`` task per eps, largest eps first; ``tau`` must divide ``T``."""
+    if whole_steps(T, tau) < 3:  # the one check of both front ends, before any task runs
+        raise ParameterError(
+            "limit metrics need at least 4 time levels; decrease tau or increase T"
+        )
     return [
-        dict(preset=preset, alpha=alpha, beta=beta, eps=eps, h=h, tau=tau, T=T, kind="limit",
-             **extra)
+        dict(preset=preset, alpha=alpha, beta=beta, eps=eps, h=h, tau=tau, T=T, kind="limit")
         for eps in sorted(eps_list, reverse=True)
     ]
 
@@ -526,12 +492,8 @@ def _run_eps_limit(spec, alpha, beta, tau, meta):
 def limit_study(preset, case, eps_list, h, tau, T=1.0, alpha=None, beta=None, out_path=None, workers=1):
     """Full limit-metric curves per eps, written as a long-format CSV."""
     alpha, beta = case_exponents(case, alpha, beta)
-    tau, n_steps, _ = aligned_tau(T, tau)
-    if n_steps < 3:
-        raise ParameterError(
-            "limit metrics need at least 4 time levels; decrease tau or increase T"
-        )
-    tasks = _limit_tasks(preset, alpha, beta, eps_list, h, tau, T, want_curves=True)
+    tau, _, _ = aligned_tau(T, tau)
+    tasks = _limit_tasks(preset, alpha, beta, eps_list, h, tau, T)
     results = _run_tasks(tasks, workers)
     summary = {"per_eps": {}, "slope": None}
     lines = ["# kgz limit study", f"# preset={preset}", f"# case={case}",

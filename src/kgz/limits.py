@@ -5,6 +5,10 @@ oscillatory layer as a potential. It is not a second scheme: its start and
 step are those of :mod:`kgz.solver` with F = 0 and no density solve, so
 differences between the two trajectories measure the coupling effect
 rather than scheme differences.
+
+:func:`limit_metrics` compares whole trajectories of at least four time
+levels (the span of the one-sided time differences at either end), with one
+stacked :func:`kgz.grid.grid_norms` call per quantity over all levels.
 """
 
 from dataclasses import dataclass
@@ -107,20 +111,15 @@ def limit_metrics(kgz_traj, kg_traj, grid, tau):
     if not np.array_equal(kgz_traj.times, kg_traj.times):
         raise ShapeError("trajectories use different time levels")
     eps = kgz_traj.eps
-    F = kgz_traj.F
-    dF, ddF = _time_derivatives(F, tau)
-    n_levels = F.shape[0]
-    eta_2 = np.empty(n_levels)
-    eta_inf = np.empty(n_levels)
-    eta_e = np.empty(n_levels)
-    for k in range(n_levels):
-        nF = grid_norms(F[k], grid)
-        ndF = grid_norms(dF[k], grid)
-        nddF = grid_norms(ddF[k], grid)
-        eta_2[k] = nF.l2 / eps + ndF.l2 + nddF.l2
-        eta_inf[k] = nF.inf / eps + ndF.inf + nddF.inf
-        diff = grid_norms(kgz_traj.E[k] - kg_traj.E[k], grid)
-        eta_e[k] = diff.l2 + diff.h1_semi
+    dF, ddF = _time_derivatives(kgz_traj.F, tau)
+    nF, ndF, nddF = grid_norms(kgz_traj.F, grid), grid_norms(dF, grid), grid_norms(ddF, grid)
+    # the derivative stacks go before the field difference is formed, so no
+    # more whole-trajectory arrays are alive at once than the derivatives need
+    del dF, ddF
+    eta_2 = nF.l2 / eps + ndF.l2 + nddF.l2
+    eta_inf = nF.inf / eps + ndF.inf + nddF.inf
+    diff = grid_norms(kgz_traj.E - kg_traj.E, grid)
+    eta_e = diff.l2 + diff.h1_semi
     return LimitMetrics(times=kgz_traj.times.copy(), eta_2=eta_2, eta_inf=eta_inf, eta_e=eta_e)
 
 

@@ -44,6 +44,13 @@ from .layer import InitialLayer, decay_order
 ALIGN_RTOL = 1e-9
 
 
+def whole_steps(t, tau):
+    """k when t is k whole steps of tau within ALIGN_RTOL, else None; k may be 0 or negative."""
+    q = t / tau
+    k = round(q)
+    return int(k) if abs(q - k) <= ALIGN_RTOL * max(1.0, abs(q)) else None
+
+
 @dataclass(frozen=True)
 class KgzParams:
     eps: float
@@ -64,15 +71,15 @@ class KgzParams:
         self.n_steps()  # reject a partial final step early
 
     def n_steps(self):
-        q = self.T / self.tau
-        k = round(q)
-        if k < 1 or abs(q - k) > ALIGN_RTOL * max(1.0, q):
+        k = whole_steps(self.T, self.tau)
+        if k is None or k < 1:
+            q = self.T / self.tau
             raise ParameterError(
                 f"T={self.T} is not a whole number of steps of tau={self.tau}; "
-                f"nearest divisors give tau={self.T / max(k, 1)} or "
+                f"nearest divisors give tau={self.T / max(round(q), 1)} or "
                 f"tau={self.T / (int(q) + 1)}"
             )
-        return int(k)
+        return k
 
 
 @dataclass(frozen=True)
@@ -306,16 +313,16 @@ def _snapshot_indices(params, snapshot_times):
     K = params.n_steps()
     idx = []
     for t in snapshot_times:
-        q = t / params.tau
-        k = round(q)
-        if abs(q - k) > ALIGN_RTOL * max(1.0, abs(q)) or not 0 <= k <= K:
+        k = whole_steps(t, params.tau)
+        if k is None or not 0 <= k <= K:
+            q = t / params.tau
             near = sorted({max(0, min(K, int(q))), max(0, min(K, int(q) + 1))})
             aligned = ", ".join(f"{m * params.tau:g}" for m in near)
             raise ParameterError(
                 f"snapshot time {t} is not a step multiple within [0, {params.T}]; "
                 f"nearest aligned times: {aligned}"
             )
-        idx.append(int(k))
+        idx.append(k)
     return K, idx
 
 

@@ -150,16 +150,25 @@ class TestSweep:
 
 
 class TestLimitStudy:
-    def test_too_few_levels_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["limit-study", "--h", "0.5", "--tau", "0.05"],
+            ["sweep", "--mode", "eps-limit", "--h0", "0.5", "--tau0", "0.05"],
+        ],
+        ids=["limit-study", "sweep"],
+    )
+    def test_too_few_levels_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
         code = main(
             [
-                "limit-study", "--preset", "gauss_sech", "--case", "I",
-                "--eps-list", "0.25", "--h", "0.5", "--tau", "0.05",
-                "--T", "0.1", "--out", str(tmp_path / "x.csv"),
+                *command, "--preset", "gauss_sech", "--case", "I",
+                "--eps-list", "0.25", "--T", "0.1", "--out", str(out),
             ]
         )
         assert code == 1
         assert "time levels" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_writes_curves(self, tmp_path):
         out = tmp_path / "limit.csv"

@@ -48,6 +48,13 @@ class TestGrid1D:
         with pytest.raises(ParameterError):
             Grid1D(1.0, 1.0, 4)
 
+    def test_equality_from_a_b_M(self):
+        g = Grid1D(0.0, 1.0, 8)
+        assert g == Grid1D(0.0, 1.0, 8)
+        assert hash(g) == hash(Grid1D(0.0, 1.0, 8))
+        assert g != Grid1D(0.0, 1.0, 9)
+        assert (g == 3) is False
+
 
 class TestDifferences:
     def test_zero(self):
@@ -116,6 +123,23 @@ class TestNormsInner:
         assert abs(n.l2 - l2) <= 1e-14 * l2
         assert abs(n.h1_semi - h1) <= 1e-14 * h1
         assert n.inf == inf
+
+    @pytest.mark.parametrize("M", [8, 3760])
+    def test_stack_equals_rows(self, rng, M):
+        g = Grid1D(-2.0, 1.0, M)
+        stack = np.stack([random_grid_fn(rng, g) for _ in range(5)])
+        got = grid_norms(stack, g)
+        rows = [grid_norms(u, g) for u in stack]
+        for i, name in enumerate(got._fields):
+            assert got[i].shape == (5,)
+            assert np.array_equal(got[i], [r[i] for r in rows]), name
+
+    def test_stack_shape_guard(self):
+        g = Grid1D(0.0, 1.0, 8)
+        with pytest.raises(ShapeError):
+            grid_norms(np.zeros((2, 3, 9)), g)
+        with pytest.raises(ShapeError):
+            grid_norms(np.zeros((4, 10)), g)
 
     def test_homogeneous(self, rng):
         g = Grid1D(0.0, 1.0, 16)

@@ -8,6 +8,7 @@ from kgz import (
     DegenerateProblemError,
     Grid1D,
     ParameterError,
+    ShapeError,
     Snapshot,
     SweepSpec,
     aligned_tau,
@@ -130,6 +131,16 @@ class TestErrorMetrics:
         snap = Snapshot(t=0.0, E=z, F=z, N=z)
         with pytest.raises(DegenerateProblemError):
             error_metrics(snap, snap, g)
+
+    def test_shape_or_missing_density(self):
+        g = self.grid()
+        u = self.mode(g)
+        snap = Snapshot(t=1.0, E=u, F=u, N=u)
+        for bad in (Snapshot(t=1.0, E=u, F=u, N=None), Snapshot(t=1.0, E=u[:-1], F=u, N=u)):
+            with pytest.raises(ShapeError):
+                error_metrics(bad, snap, g)
+            with pytest.raises(ShapeError):
+                error_metrics(snap, bad, g)
 
     def test_time_mismatch(self):
         g = self.grid()
@@ -285,6 +296,14 @@ class TestRunSweep:
             SweepSpec(mode="spatial", levels=1).resolved()
         with pytest.raises(ParameterError):
             SweepSpec(mode="spatial", eps_list=(2.0,)).resolved()
+        with pytest.raises(ParameterError, match="refine_space"):
+            SweepSpec(mode="spatial", refine_space=3).resolved()
+        # rejected before any task runs, not as one failed row per level
+        with pytest.raises(ParameterError, match="refine_time"):
+            run_sweep(
+                SweepSpec(mode="temporal", case="I", eps_list=(1.0,), h0=0.5, tau0=0.05,
+                          levels=2, T=0.1, refine_time=3)
+            )
 
     def test_worker_pool_matches_serial(self, tmp_path):
         from dataclasses import replace

@@ -25,7 +25,7 @@ from kgz import (
     trajectory,
     trajectory_kg,
 )
-from kgz.limits import KgTrajectory
+from kgz.limits import KgTrajectory, _time_derivatives
 from kgz.presets import preset_initial_data
 
 
@@ -180,6 +180,21 @@ class TestLimitMetrics:
         twin = KgTrajectory(eps=coupled.eps, times=coupled.times, E=coupled.E.copy())
         metrics = limit_metrics(coupled, twin, params.grid, params.tau)
         assert np.all(metrics.eta_e == 0.0)
+
+    def test_equals_level_by_level_norms(self):
+        data = preset_initial_data("gauss_sech")
+        params = toy_params(eps=0.25, M=32, tau=0.05, T=0.5)
+        coupled = trajectory(params, data)
+        limit = trajectory_kg(params, data, build_layer(params, data))
+        metrics = limit_metrics(coupled, limit, params.grid, params.tau)
+        dF, ddF = _time_derivatives(coupled.F, params.tau)
+        for k in range(coupled.F.shape[0]):
+            nF, ndF, nddF = (grid_norms(v[k], params.grid) for v in (coupled.F, dF, ddF))
+            diff = grid_norms(coupled.E[k] - limit.E[k], params.grid)
+            assert metrics.eta_2[k] == nF.l2 / params.eps + ndF.l2 + nddF.l2
+            assert metrics.eta_inf[k] == nF.inf / params.eps + ndF.inf + nddF.inf
+            assert metrics.eta_e[k] == diff.l2 + diff.h1_semi
+        assert np.max(metrics.eta_e) > 0.0 and np.max(metrics.eta_2) > 0.0
 
     def test_zero_density_component(self):
         params = toy_params(tau=0.05, T=0.5)
