@@ -1,8 +1,9 @@
 """Self-contained property suite behind the `kgz check` command.
 
 Every check pits an implementation against an independent route: dense
-linear algebra, brute-force summation, quadrature, or an exact algebraic
-identity. All of them run on desk-scale grids in well under a minute.
+linear algebra, brute-force summation, quadrature, whole stored
+trajectories, or an exact algebraic identity. All of them run on
+desk-scale grids in well under a minute.
 """
 
 from collections import deque
@@ -22,10 +23,27 @@ from .grid import (
     solve_tridiagonal,
     staggered_inner_product,
 )
+from .harness import _limit_summary
 from .layer import InitialLayer
-from .limits import first_state_kg, step_kg, step_kg_back
+from .limits import (
+    LimitMetrics,
+    _time_derivatives,
+    first_state_kg,
+    step_kg,
+    step_kg_back,
+    trajectory_kg,
+)
 from .presets import preset_initial_data
-from .solver import InitialData, KgzParams, build_layer, first_state, march, step, step_back
+from .solver import (
+    InitialData,
+    KgzParams,
+    build_layer,
+    first_state,
+    march,
+    step,
+    step_back,
+    trajectory,
+)
 from .transforms import dst_forward, dst_inverse
 
 
@@ -170,6 +188,51 @@ def check_reversibility_limit(n_steps=100):
     return _round_trip("reversibility_limit", state0, forward, back, n_steps, "E")
 
 
+def whole_trajectory_limit(params, data):
+    """The limit metrics of one eps from whole trajectories, each quantity normed as one stack.
+
+    The reference of the streamed eps-limit task: both models run alone
+    and are stored whole, and no level is reduced before the last exists.
+    """
+    coupled = trajectory(params, data)
+    limit = trajectory_kg(params, data, build_layer(params, data))
+    dF, ddF = _time_derivatives(coupled.F, params.tau)
+    nF, ndF, nddF = (grid_norms(v, params.grid) for v in (coupled.F, dF, ddF))
+    diff = grid_norms(coupled.E - limit.E, params.grid)
+    return LimitMetrics(
+        times=coupled.times,
+        eta_2=nF.l2 / params.eps + ndF.l2 + nddF.l2,
+        eta_inf=nF.inf / params.eps + ndF.inf + nddF.inf,
+        eta_e=diff.l2 + diff.h1_semi,
+        f_l2=nF.l2,
+    )
+
+
+def check_limit_lockstep():
+    """The streamed eps-limit task against whole trajectories, bit for bit.
+
+    K = 100 levels span several reduction blocks and end in a partial one.
+    """
+    params, data, _ = _toy_setup(eps=0.25)
+    summary = _limit_summary(params, data)
+    ref = whole_trajectory_limit(params, data)
+    k = int(np.argmax(ref.eta_e))
+    expected = {
+        "max_eta_e": float(ref.eta_e[k]),
+        "t_max": float(ref.times[k]),
+        "max_f_over_eps": float(np.max(ref.f_l2) / params.eps),
+    }
+    differ = [key for key, value in expected.items() if summary[key] != value]
+    differ += [
+        name
+        for name in ("times", "eta_2", "eta_inf", "eta_e", "f_l2")
+        if not np.array_equal(getattr(summary["curves"], name), getattr(ref, name))
+    ]
+    if differ:
+        return CheckResult("limit_lockstep", False, "differs in " + ", ".join(differ))
+    return CheckResult("limit_lockstep", True, f"bit for bit over {len(ref.times)} levels")
+
+
 def check_zero_fixed_point():
     """All-zero data must produce the exact zero trajectory."""
     grid = Grid1D(-4.0, 4.0, 32)
@@ -276,6 +339,7 @@ ALL_CHECKS = (
     check_averaged_wave,
     check_reversibility_coupled,
     check_reversibility_limit,
+    check_limit_lockstep,
     check_zero_fixed_point,
     check_dirichlet_boundary,
     check_tridiagonal_dense,

@@ -17,17 +17,11 @@ import numpy as np
 
 from .errors import DegenerateProblemError, KgzError, ParameterError, ShapeError
 from .grid import Grid1D, grid_norms
-from .limits import limit_metrics, trajectory_kg
+from .limits import _lockstep_metrics
+from .limits import limit_metrics, trajectory_kg  # noqa: F401  perfbench/tracer.py wraps these here
 from .presets import case_exponents, domain_for_eps, preset_initial_data
-from .solver import (
-    ALIGN_RTOL,
-    KgzParams,
-    Snapshot,
-    build_layer,
-    run,
-    trajectory,
-    whole_steps,
-)
+from .solver import ALIGN_RTOL, KgzParams, Snapshot, run, whole_steps
+from .solver import trajectory  # noqa: F401  perfbench/tracer.py wraps this name here
 
 
 def _f6(x):
@@ -315,15 +309,12 @@ def _solve_task(task):
 
 def _limit_summary(params, data):
     """The limit metrics of one eps: their maxima, and the curves as a LimitMetrics."""
-    layer = build_layer(params, data)
-    coupled = trajectory(params, data)
-    limit = trajectory_kg(params, data, layer, use_potential=True)
-    metrics = limit_metrics(coupled, limit, params.grid, params.tau)
+    metrics = _lockstep_metrics(params, data)
     k_star = int(np.argmax(metrics.eta_e))
     return {
         "max_eta_e": float(metrics.eta_e[k_star]),
         "t_max": float(metrics.times[k_star]),
-        "max_f_over_eps": float(np.max(grid_norms(coupled.F, params.grid).l2) / params.eps),
+        "max_f_over_eps": float(np.max(metrics.f_l2) / params.eps),
         "curves": metrics,
     }
 

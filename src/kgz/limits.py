@@ -6,19 +6,34 @@ step are those of :mod:`kgz.solver` with F = 0 and no density solve, so
 differences between the two trajectories measure the coupling effect
 rather than scheme differences.
 
-:func:`limit_metrics` compares whole trajectories of at least four time
-levels (the span of the one-sided time differences at either end), with one
-stacked :func:`kgz.grid.grid_norms` call per quantity over all levels.
+The diagnostics (:class:`LimitMetrics`) are reduced level by level as the
+levels are produced, in blocks of ``_BLOCK`` levels: the norms of a level
+need only that level, its centered time differences the levels on either
+side, and the one-sided differences at either end the first or the last
+four levels (so a run needs at least four). The eps-limit task marches the
+coupled scheme and its limit model in lockstep, one averaged potential per
+step for both, and holds O(M) arrays plus the O(K) curves whatever the
+number of steps K. :func:`limit_metrics` is the same reduction fed from
+whole trajectories, which :func:`kgz.solver.trajectory` and
+:func:`trajectory_kg` still record. Every norm is taken row by row, as
+:func:`kgz.grid.grid_norms` takes a stack, so neither the block size nor
+the route changes a bit of the result.
 """
 
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
-from .grid import grid_norms, inner_product
-from .solver import _advance, _taylor_start, march
+from .grid import GridNorms, grid_norms, inner_product
+from .solver import KgzState, _advance, _step, _taylor_start, build_layer, first_state, march
 from .solver import _solve_field  # noqa: F401  perfbench/tracer.py wraps this name here
+
+# time levels per reduced block; any size gives the same bits, it only
+# trades the block's memory against numpy calls per level
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -48,16 +63,22 @@ def first_state_kg(params, data, layer, use_potential=True):
 
 def step_kg(state, params, layer, use_potential=True):
     """One forward step of the limit model."""
-    potential = layer if use_potential else None
-    E, _ = _advance(state.E_curr, state.E_prev, None, None, state.t_k, params, potential)
-    k = state.k + 1
-    return KgState(k=k, t_k=k * params.tau, E_prev=state.E_curr, E_curr=E)
+    potential = layer.averaged_wave(state.t_k, params.tau) if use_potential else None
+    return _step_kg(state, params, potential)
+
+
+def _step_kg(s, params, potential):
+    """``step_kg`` with the averaged potential (or None) already evaluated."""
+    E, _ = _advance(s.E_curr, s.E_prev, None, None, potential, params)
+    k = s.k + 1
+    return KgState(k=k, t_k=k * params.tau, E_prev=s.E_curr, E_curr=E)
 
 
 def step_kg_back(state, params, layer, use_potential=True):
     """One backward step, centered at the prev level (see solver.step_back)."""
-    tau, potential = params.tau, (layer if use_potential else None)
-    E, _ = _advance(state.E_prev, state.E_curr, None, None, state.t_k - tau, params, potential)
+    tau = params.tau
+    potential = layer.averaged_wave(state.t_k - tau, tau) if use_potential else None
+    E, _ = _advance(state.E_prev, state.E_curr, None, None, potential, params)
     k = state.k - 1
     return KgState(k=k, t_k=k * tau, E_prev=E, E_curr=state.E_prev)
 
@@ -72,28 +93,124 @@ def trajectory_kg(params, data, layer, use_potential=True):
     return KgTrajectory(eps=params.eps, times=np.arange(K + 1) * params.tau, E=E)
 
 
+def _centered(F, tau):
+    """Centered first and second time differences at the inner levels of a stack of levels."""
+    return (F[2:] - F[:-2]) / (2.0 * tau), (F[2:] - 2.0 * F[1:-1] + F[:-2]) / tau**2
+
+
+def _one_sided(F, tau):
+    """First and second time differences at the end level F[0], from F[0..3] ordered inward.
+
+    The first difference is taken in the inward direction: at the last
+    level its sign must be flipped.
+    """
+    dF = (-3.0 * F[0] + 4.0 * F[1] - F[2]) / (2.0 * tau)
+    ddF = (2.0 * F[0] - 5.0 * F[1] + 4.0 * F[2] - F[3]) / tau**2
+    return dF, ddF
+
+
 def _time_derivatives(F, tau):
-    """Centered first and second time differences with one-sided ends."""
+    """Centered first and second time differences with one-sided ends, over a whole stack."""
     K = F.shape[0] - 1
     if K < 3:
         raise ShapeError("need at least 4 time levels for the time derivatives")
     dF = np.empty_like(F)
-    dF[1:-1] = (F[2:] - F[:-2]) / (2.0 * tau)
-    dF[0] = (-3.0 * F[0] + 4.0 * F[1] - F[2]) / (2.0 * tau)
-    dF[-1] = (3.0 * F[-1] - 4.0 * F[-2] + F[-3]) / (2.0 * tau)
     ddF = np.empty_like(F)
-    ddF[1:-1] = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / tau**2
-    ddF[0] = (2.0 * F[0] - 5.0 * F[1] + 4.0 * F[2] - F[3]) / tau**2
-    ddF[-1] = (2.0 * F[-1] - 5.0 * F[-2] + 4.0 * F[-3] - F[-4]) / tau**2
+    dF[1:-1], ddF[1:-1] = _centered(F, tau)
+    dF[0], ddF[0] = _one_sided(F[:4], tau)
+    d_end, ddF[-1] = _one_sided(F[:-5:-1], tau)
+    dF[-1] = -d_end
     return dF, ddF
 
 
 @dataclass(frozen=True)
 class LimitMetrics:
+    """Per-level limit diagnostics; ``f_l2`` is the L2 norm of the corrected density F."""
+
     times: np.ndarray
     eta_2: np.ndarray
     eta_inf: np.ndarray
     eta_e: np.ndarray
+    f_l2: np.ndarray
+
+
+def _put(curves, k0, stack, grid):
+    """Write the norms of a stack of levels k0, k0 + 1, ... into the GridNorms of curves."""
+    for curve, values in zip(curves, grid_norms(stack, grid)):
+        curve[k0 : k0 + len(values)] = values
+
+
+class _LimitReducer:
+    """The limit metrics reduced level by level: ``push`` levels 0..K in order, then ``finish``.
+
+    F is copied into one block of ``_BLOCK`` levels after the two levels
+    before it, which the centered differences of the block reach back into.
+    The one-sided ends keep the first four and the latest four levels by
+    reference, so a pushed level must not change afterwards.
+    """
+
+    def __init__(self, times, grid, tau, eps):
+        K = len(times) - 1
+        if K < 3:
+            raise ShapeError("need at least 4 time levels for the time derivatives")
+        self.times, self.grid, self.tau, self.eps = times, grid, tau, eps
+        self.F = np.empty((_BLOCK + 2, grid.M + 1))
+        self.diff = np.empty((_BLOCK, grid.M + 1))
+        self.rows = 2  # rows 0 and 1 hold the two levels before the block
+        self.n = 0
+        self.first, self.last = [], deque(maxlen=4)
+        # norms per level of F, its two time differences, and E - E_kg
+        self.nF, self.ndF, self.nddF, self.ndiff = (
+            GridNorms(*(np.empty(K + 1) for _ in range(3))) for _ in range(4)
+        )
+
+    def push(self, F, E, E_kg):
+        """Take the next level: the coupled F and E, and the limit model's E."""
+        self.F[self.rows] = F
+        np.subtract(E, E_kg, out=self.diff[self.rows - 2])
+        if self.n < 4:
+            self.first.append(F)
+        self.last.append(F)
+        self.rows += 1
+        self.n += 1
+        if self.rows == _BLOCK + 2:
+            self._flush()
+
+    def _flush(self):
+        """Reduce the levels of the block, and the centered differences they complete."""
+        rows, grid = self.rows, self.grid
+        k0 = self.n - (rows - 2)  # the level in row 2; row r holds level k0 - 2 + r
+        _put(self.nF, k0, self.F[2:rows], grid)
+        _put(self.ndiff, k0, self.diff[: rows - 2], grid)
+        # every row with both neighbours in the buffer, from level 1 on
+        lo = max(1, 3 - k0)
+        dF, ddF = _centered(self.F[lo - 1 : rows], self.tau)
+        _put(self.ndF, k0 - 2 + lo, dF, grid)
+        _put(self.nddF, k0 - 2 + lo, ddF, grid)
+        self.F[:2] = self.F[rows - 2 : rows]
+        self.rows = 2
+
+    def finish(self):
+        """The LimitMetrics over every level; all K + 1 of them must have been pushed."""
+        K = len(self.times) - 1
+        if self.n != K + 1:
+            raise ShapeError(f"{self.n} of the {K + 1} time levels were pushed")
+        if self.rows > 2:
+            self._flush()
+        d, dd = _one_sided(self.first, self.tau)
+        _put(self.ndF, 0, d[None], self.grid)
+        _put(self.nddF, 0, dd[None], self.grid)
+        d, dd = _one_sided(list(reversed(self.last)), self.tau)
+        _put(self.ndF, K, -d[None], self.grid)
+        _put(self.nddF, K, dd[None], self.grid)
+        nF, ndF, nddF, eps = self.nF, self.ndF, self.nddF, self.eps
+        return LimitMetrics(
+            times=self.times,
+            eta_2=nF.l2 / eps + ndF.l2 + nddF.l2,
+            eta_inf=nF.inf / eps + ndF.inf + nddF.inf,
+            eta_e=self.ndiff.l2 + self.ndiff.h1_semi,
+            f_l2=nF.l2,
+        )
 
 
 def limit_metrics(kgz_traj, kg_traj, grid, tau):
@@ -110,17 +227,41 @@ def limit_metrics(kgz_traj, kg_traj, grid, tau):
         raise ShapeError("trajectories do not live on the given grid")
     if not np.array_equal(kgz_traj.times, kg_traj.times):
         raise ShapeError("trajectories use different time levels")
-    eps = kgz_traj.eps
-    dF, ddF = _time_derivatives(kgz_traj.F, tau)
-    nF, ndF, nddF = grid_norms(kgz_traj.F, grid), grid_norms(dF, grid), grid_norms(ddF, grid)
-    # the derivative stacks go before the field difference is formed, so no
-    # more whole-trajectory arrays are alive at once than the derivatives need
-    del dF, ddF
-    eta_2 = nF.l2 / eps + ndF.l2 + nddF.l2
-    eta_inf = nF.inf / eps + ndF.inf + nddF.inf
-    diff = grid_norms(kgz_traj.E - kg_traj.E, grid)
-    eta_e = diff.l2 + diff.h1_semi
-    return LimitMetrics(times=kgz_traj.times.copy(), eta_2=eta_2, eta_inf=eta_inf, eta_e=eta_e)
+    reducer = _LimitReducer(kgz_traj.times.copy(), grid, tau, kgz_traj.eps)
+    for F, E, E_kg in zip(kgz_traj.F, kgz_traj.E, kg_traj.E):
+        reducer.push(F, E, E_kg)
+    return reducer.finish()
+
+
+class _Lockstep(NamedTuple):
+    """The coupled state and its limit-model state, both at level k."""
+
+    k: int
+    t_k: float
+    coupled: KgzState
+    limit: KgState
+
+
+def _lockstep_metrics(params, data):
+    """The LimitMetrics of one eps, with both models marched in lockstep from one layer.
+
+    Each step evaluates the averaged potential once for both models. A
+    KgzError of either model leaves through ``march`` with its ``k`` and ``t``.
+    """
+    K, tau = params.n_steps(), params.tau
+    layer = build_layer(params, data)
+    state = _Lockstep(1, tau, first_state(params, data, layer), first_state_kg(params, data, layer))
+    reducer = _LimitReducer(np.arange(K + 1) * tau, params.grid, tau, params.eps)
+    reducer.push(state.coupled.F_prev, state.coupled.E_prev, state.limit.E_prev)
+
+    def advance(s):
+        potential = layer.averaged_wave(s.t_k, tau)
+        coupled = _step(s.coupled, params, potential)
+        return _Lockstep(coupled.k, coupled.t_k, coupled, _step_kg(s.limit, params, potential))
+
+    for state in march(state, advance, K - 1):
+        reducer.push(state.coupled.F_curr, state.coupled.E_curr, state.limit.E_curr)
+    return reducer.finish()
 
 
 def kg_energy(state, grid, tau):

@@ -12,10 +12,11 @@ model of :mod:`kgz.limits` is the same stencil with F = 0 and no density
 solve. One generator, ``march``, owns the time loop of every driver.
 
 The field matrix depends on the current level and is solved afresh each
-step. The density matrix depends only on (M, h, tau, eps), so it is
-LU-factored once per run and every step reuses the factor; on these
-dominant systems that repeats the one-shot elimination exactly, and the
-results are unchanged bit for bit.
+step; only its constant off-diagonal is built once per grid. The density
+matrix depends only on (M, h, tau, eps), so it is LU-factored once per run
+and every step reuses the factor; on these dominant systems that repeats
+the one-shot elimination exactly, and the results are unchanged bit for
+bit.
 """
 
 import functools
@@ -203,7 +204,7 @@ def _solve_field(E_curr, E_prev, c, params):
     # every row even after rounding, so the solver's own dominance scan
     # could never fire and is skipped
     diag = margin + inv_h2
-    off = np.full(grid.M - 2, -0.5 * inv_h2)
+    off = _field_off_diagonal(grid.M, grid.h)
     E_prev_in = E_prev[1:-1]
     rhs = (2.0 * E_curr[1:-1] - E_prev_in) * inv_t2 + 0.5 * (
         second_difference_interior(E_prev, grid) - c[1:-1] * E_prev_in
@@ -211,6 +212,14 @@ def _solve_field(E_curr, E_prev, c, params):
     E_next = grid.zeros()
     E_next[1:-1] = solve_tridiagonal(off, diag, off, rhs, require_dominant=False)
     return E_next
+
+
+@functools.lru_cache(maxsize=4)
+def _field_off_diagonal(M, h):
+    """The constant off-diagonal of the field matrix, read-only and shared for a whole run."""
+    off = np.full(M - 2, -0.5 * (1.0 / h**2))
+    off.setflags(write=False)
+    return off
 
 
 @functools.lru_cache(maxsize=4)
@@ -240,21 +249,22 @@ def _solve_density(F_curr, F_prev, dt2_E2, params):
     return F_next
 
 
-def _advance(E_mid, E_out, F_mid, F_out, t_mid, params, layer):
+def _advance(E_mid, E_out, F_mid, F_out, potential, params):
     """The symmetric three-level stencil: (E, F) at the outer level not given.
 
-    A forward step passes (curr, prev), a backward step (prev, curr). The
+    A forward step passes (curr, prev), a backward step (prev, curr), and
+    ``potential`` is the averaged layer potential at the mid level. The
     limit model is this stencil with F = 0: ``F_mid = None`` drops F from
     the field coefficient and skips the density solve (F comes back None).
-    Plain Klein-Gordon also passes ``layer = None``, dropping the potential.
+    Plain Klein-Gordon also passes ``potential = None``.
     """
     tau = params.tau
     Ek2 = E_mid**2
     c = 1.0 - Ek2
     if F_mid is not None:
         c = c + F_mid
-    if layer is not None:
-        c = c + layer.averaged_wave(t_mid, tau)
+    if potential is not None:
+        c = c + potential
     E_new = _solve_field(E_mid, E_out, c, params)
     if F_mid is None:
         return E_new, None
@@ -264,8 +274,12 @@ def _advance(E_mid, E_out, F_mid, F_out, t_mid, params, layer):
 
 def step(state, params, layer):
     """One forward step; the equations are centered at the curr level."""
-    s = state
-    E, F = _advance(s.E_curr, s.E_prev, s.F_curr, s.F_prev, s.t_k, params, layer)
+    return _step(state, params, layer.averaged_wave(state.t_k, params.tau))
+
+
+def _step(s, params, potential):
+    """``step`` with the averaged potential at the curr level already evaluated."""
+    E, F = _advance(s.E_curr, s.E_prev, s.F_curr, s.F_prev, potential, params)
     k = s.k + 1
     return KgzState(k=k, t_k=k * params.tau, E_prev=s.E_curr, E_curr=E, F_prev=s.F_curr, F_curr=F)
 
@@ -277,7 +291,8 @@ def step_back(state, params, layer):
     value the matching forward step used.
     """
     s, tau = state, params.tau
-    E, F = _advance(s.E_prev, s.E_curr, s.F_prev, s.F_curr, s.t_k - tau, params, layer)
+    potential = layer.averaged_wave(s.t_k - tau, tau)
+    E, F = _advance(s.E_prev, s.E_curr, s.F_prev, s.F_curr, potential, params)
     k = s.k - 1
     return KgzState(k=k, t_k=k * tau, E_prev=E, E_curr=s.E_prev, F_prev=F, F_curr=s.F_prev)
 

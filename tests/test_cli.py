@@ -170,6 +170,30 @@ class TestLimitStudy:
         assert "time levels" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_blow_up_exits_2_and_writes_no_csv(self, tmp_path, monkeypatch, capsys):
+        # E0 = 2 exp(-x^2): the limit model loses diagonal dominance in the
+        # step from k = 5, inside the lockstep march of both models
+        def zero(x):
+            return np.zeros_like(x)
+
+        def blow_up():
+            return InitialData(
+                E0=lambda x: 2.0 * np.exp(-(x**2)), E1=zero, omega0=zero, omega1=zero
+            )
+
+        monkeypatch.setitem(presets._PRESETS, "blow_up", blow_up)
+        out = tmp_path / "limit.csv"
+        code = main(
+            [
+                "limit-study", "--preset", "blow_up", "--case", "I", "--eps-list", "0.5",
+                "--h", "0.25", "--tau", "0.25", "--T", "2", "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "k=5, t=1.25" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_curves(self, tmp_path):
         out = tmp_path / "limit.csv"
         code = main(
@@ -190,7 +214,7 @@ class TestCheck:
         code = main(["check"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "11/11 checks passed" in out
+        assert "12/12 checks passed" in out
         assert "FAIL" not in out
 
 

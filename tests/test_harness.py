@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import kgz.harness
+import kgz.solver
 from kgz import (
     DegenerateProblemError,
     Grid1D,
+    IllConditionedError,
+    InitialData,
     ParameterError,
     ShapeError,
     Snapshot,
@@ -22,7 +25,8 @@ from kgz import (
     run_sweep,
     write_table,
 )
-from kgz.harness import ErrorRow, FailedRow, RateTable
+from kgz import presets
+from kgz.harness import ErrorRow, FailedRow, RateTable, _limit_tasks, _solve_task
 from kgz.presets import preset_initial_data
 
 
@@ -315,3 +319,47 @@ class TestRunSweep:
         assert (tmp_path / "serial.csv").read_text() == (
             tmp_path / "parallel.csv"
         ).read_text()
+
+
+def _zero(x):
+    return np.zeros_like(x)
+
+
+def _limit_blow_up():
+    # run alone with eps = 0.5, h = 0.25, tau = 0.25, the limit model loses
+    # diagonal dominance in the step from k = 5, the coupled one from k = 7
+    return InitialData(E0=lambda x: 2.0 * np.exp(-(x**2)), E1=_zero, omega0=_zero, omega1=_zero)
+
+
+class TestLimitTaskFailure:
+    """A blow-up in the lockstep march fails the eps-limit task, whichever model it hits."""
+
+    @pytest.fixture(params=["limit", "coupled"])
+    def failing(self, request, monkeypatch):
+        """(preset, the step and time the failure must report)."""
+        if request.param == "limit":
+            monkeypatch.setitem(presets._PRESETS, "blow_up", _limit_blow_up)
+            return "blow_up", "k=5, t=1.25"
+
+        def broken_density(*args):
+            raise IllConditionedError("injected density failure")
+
+        # only the coupled model solves for the density
+        monkeypatch.setattr(kgz.solver, "_solve_density", broken_density)
+        return "gauss_sech", "k=1, t=0.25"
+
+    def test_task_reports_step_and_time(self, failing):
+        preset, where = failing
+        (task,) = _limit_tasks(preset, 1.0, 0.0, (0.5,), 0.25, 0.25, 2.0)
+        result = _solve_task(task)
+        assert result["ok"] is False
+        assert where in result["message"]
+
+    def test_sweep_records_failed_row(self, failing):
+        preset, where = failing
+        spec = SweepSpec(mode="eps_limit", preset=preset, case="I", eps_list=(0.5,),
+                         h0=0.25, tau0=0.25, T=2.0)
+        table = run_sweep(spec)
+        assert table.rows == []
+        assert [f.eps for f in table.failures] == [0.5]
+        assert where in table.failures[0].message

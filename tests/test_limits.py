@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,9 @@ from kgz import (
     trajectory,
     trajectory_kg,
 )
+import kgz.limits
+from kgz.checks import whole_trajectory_limit
+from kgz.harness import _limit_summary, make_params
 from kgz.limits import KgTrajectory, _time_derivatives
 from kgz.presets import preset_initial_data
 
@@ -241,6 +245,59 @@ class TestLimitMetrics:
         short = KgTrajectory(eps=0.5, times=times[:-1], E=np.zeros((4, 9)))
         with pytest.raises(ShapeError):
             limit_metrics(traj, short, grid, 0.1)
+
+
+def assert_same_curves(got, want):
+    for name in ("times", "eta_2", "eta_inf", "eta_e", "f_l2"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestLockstep:
+    """The streamed eps-limit task against the whole-trajectory path, bit for bit."""
+
+    def assert_summary_matches(self, params, data, ref):
+        summary = _limit_summary(params, data)
+        assert_same_curves(summary["curves"], ref)
+        k = int(np.argmax(ref.eta_e))
+        assert summary["max_eta_e"] == ref.eta_e[k]
+        assert summary["t_max"] == ref.times[k]
+        assert summary["max_f_over_eps"] == np.max(ref.f_l2) / params.eps
+
+    # K = 3 is the four-level minimum, where the one-sided ends cover every
+    # level; K = 37 leaves a partial last block for each block size
+    @pytest.mark.parametrize("K", [3, 37])
+    @pytest.mark.parametrize("block", [1, 3, kgz.limits._BLOCK])
+    def test_any_block_size(self, monkeypatch, K, block):
+        monkeypatch.setattr(kgz.limits, "_BLOCK", block)
+        data = preset_initial_data("gauss_sech")
+        params = toy_params(eps=0.3, M=40, tau=0.01, T=0.01 * K)
+        ref = whole_trajectory_limit(params, data)
+        self.assert_summary_matches(params, data, ref)
+        # limit_metrics is the same reduction fed from whole trajectories
+        coupled = trajectory(params, data)
+        limit = trajectory_kg(params, data, build_layer(params, data))
+        assert_same_curves(limit_metrics(coupled, limit, params.grid, params.tau), ref)
+
+    def test_eps_limit_configuration(self):
+        # one task of the eps-limit sweep: eps = 1/16, h = 0.05, tau = 1e-3, T = 1
+        params = make_params(0.0625, 1.0, 0.0, 0.05, 1e-3, 1.0)
+        data = preset_initial_data("gauss_sech")
+        self.assert_summary_matches(params, data, whole_trajectory_limit(params, data))
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        # K = 100 against K = 1000 on one grid (M = 2000); the bound is fixed
+        # beforehand, and whole trajectories would make the ratio about 10
+        data = preset_initial_data("gauss_sech")
+        peaks = []
+        for tau in (1e-2, 1e-3):
+            params = toy_params(eps=0.5, M=2000, tau=tau, T=1.0, span=20.0)
+            tracemalloc.start()
+            try:
+                _limit_summary(params, data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestKgEnergy:

@@ -26,7 +26,7 @@ from kgz import (
     trajectory,
 )
 from kgz.presets import preset_initial_data
-from kgz.solver import _density_factor
+from kgz.solver import _density_factor, _field_off_diagonal
 from conftest import random_grid_fn
 
 
@@ -392,10 +392,12 @@ class TestRun:
         assert np.array_equal(resumed.E_curr, state.E_curr)
         assert np.array_equal(resumed.F_curr, state.F_curr)
 
-    @pytest.mark.parametrize("change", [{"tau": 0.02}, {"eps": 0.125}])
+    @pytest.mark.parametrize(
+        "change", [{"tau": 0.02}, {"eps": 0.125}, {"grid": Grid1D(-8.0, 8.0, 48)}]
+    )
     def test_interleaved_runs_match_solo_runs(self, change):
-        # the density factor is cached across steps; two runs on one grid
-        # that differ in the density matrix must never share a factor
+        # the density factor and the field off-diagonal are cached across
+        # steps; two runs that differ in either must never share one
         data = preset_initial_data("gauss_sech")
         base = toy_params(eps=0.25, M=48, tau=0.01)
         runs = [base, replace(base, **change)]
@@ -407,17 +409,26 @@ class TestRun:
         solo = []
         for i in range(2):
             _density_factor.cache_clear()
+            _field_off_diagonal.cache_clear()
             state = start(i)
             for _ in range(20):
                 state = step(state, runs[i], layers[i])
             solo.append(state)
         _density_factor.cache_clear()
+        _field_off_diagonal.cache_clear()
         states = [start(0), start(1)]
         for _ in range(20):
             states = [step(states[i], runs[i], layers[i]) for i in range(2)]
         for got, want in zip(states, solo):
             assert np.array_equal(got.E_curr, want.E_curr)
             assert np.array_equal(got.F_curr, want.F_curr)
+
+    def test_field_off_diagonal_is_shared_and_read_only(self):
+        grid = Grid1D(-6.0, 6.0, 48)
+        off = _field_off_diagonal(grid.M, grid.h)
+        assert off is _field_off_diagonal(grid.M, grid.h)
+        assert not off.flags.writeable
+        assert np.array_equal(off, np.full(grid.M - 2, -0.5 * (1.0 / grid.h**2)))
 
     def test_determinism(self):
         data = preset_initial_data("bump")
