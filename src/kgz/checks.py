@@ -29,8 +29,6 @@ from .limits import (
     LimitMetrics,
     _time_derivatives,
     first_state_kg,
-    step_kg,
-    step_kg_back,
     trajectory_kg,
 )
 from .presets import preset_initial_data
@@ -155,14 +153,15 @@ def _toy_setup(eps=0.5, M=48, tau=0.01):
     return params, data, build_layer(params, data)
 
 
-def _round_trip(name, state0, forward, back, n_steps, fields):
-    """March forward, march back, land on the initial state.
+def _round_trip(name, state0, params, layer, n_steps):
+    """March forward, march back, land on the initial state; ``step`` serves either model.
 
-    Compares both stored levels of each unknown named in ``fields`` ("EF"
-    or "E"), relative to the largest curr level among them.
+    Compares both stored levels of each unknown the state carries (E, and F
+    unless it is None), relative to the largest curr level among them.
     """
-    state = deque(march(state0, forward, n_steps), maxlen=1).pop()
-    state = deque(march(state, back, n_steps), maxlen=1).pop()
+    state = deque(march(state0, lambda s: step(s, params, layer), n_steps), maxlen=1).pop()
+    state = deque(march(state, lambda s: step_back(s, params, layer), n_steps), maxlen=1).pop()
+    fields = "E" if state0.F_curr is None else "EF"
     scale = max(*(np.max(np.abs(getattr(state0, f + "_curr"))) for f in fields), 1e-30)
     worst = max(
         np.max(np.abs(getattr(state, f + lvl) - getattr(state0, f + lvl)))
@@ -174,18 +173,14 @@ def _round_trip(name, state0, forward, back, n_steps, fields):
 
 def check_reversibility_coupled(n_steps=100):
     params, data, layer = _toy_setup()
-    forward = lambda s: step(s, params, layer)
-    back = lambda s: step_back(s, params, layer)
     state0 = first_state(params, data, layer)
-    return _round_trip("reversibility_coupled", state0, forward, back, n_steps, "EF")
+    return _round_trip("reversibility_coupled", state0, params, layer, n_steps)
 
 
 def check_reversibility_limit(n_steps=100):
     params, data, layer = _toy_setup()
-    forward = lambda s: step_kg(s, params, layer)
-    back = lambda s: step_kg_back(s, params, layer)
     state0 = first_state_kg(params, data, layer)
-    return _round_trip("reversibility_limit", state0, forward, back, n_steps, "E")
+    return _round_trip("reversibility_limit", state0, params, layer, n_steps)
 
 
 def whole_trajectory_limit(params, data):

@@ -120,8 +120,13 @@ def _merge_config(args):
     merged = dict(vars(args))
     config = {}
     if merged.get("config"):
-        with open(merged["config"]) as fh:
-            config = json.load(fh)
+        try:
+            with open(merged["config"]) as fh:
+                config = json.load(fh)
+        except OSError as exc:
+            raise ParameterError(f"cannot read --config {merged['config']}: {exc.strerror}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParameterError(f"--config {merged['config']} is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise ParameterError("--config must hold a JSON object")
     defaults = _DEFAULTS.get(merged["command"], {})

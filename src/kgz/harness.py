@@ -37,8 +37,8 @@ def _fmt(x):
 
 def aligned_tau(T, tau):
     """Largest step <= tau that divides T; flags whether it was adjusted."""
-    if tau <= 0 or T <= 0:
-        raise ParameterError("T and tau must be positive")
+    if not (0 < tau < math.inf and 0 < T < math.inf):  # NaN fails too
+        raise ParameterError(f"T and tau must be positive and finite, got T={T}, tau={tau}")
     k = whole_steps(T, tau)
     if k is not None and k >= 1:
         return tau, k, False
@@ -48,7 +48,11 @@ def aligned_tau(T, tau):
 
 def grid_for(eps, h, domain=None):
     """Grid covering the eps-dependent domain with spacing closest to h."""
+    if not 0 < h < math.inf:  # NaN fails too
+        raise ParameterError(f"h must be positive and finite, got {h}")
     a, b = domain_for_eps(eps) if domain is None else domain
+    if not -math.inf < a < b < math.inf:  # NaN fails too
+        raise ParameterError(f"the domain must be a finite interval, got ({a}, {b})")
     M = round((b - a) / h)
     if M < 2:
         raise ParameterError(f"h={h} is too coarse for the domain ({a}, {b})")
@@ -59,6 +63,15 @@ def make_params(eps, alpha, beta, h, tau, T, domain=None):
     return KgzParams(
         eps=eps, alpha=alpha, beta=beta, grid=grid_for(eps, h, domain), tau=tau, T=T
     )
+
+
+def _check_eps_list(eps_list):
+    """The eps rule of every sweep and limit study: at least one eps, each in (0, 1]."""
+    if not eps_list:
+        raise ParameterError("the eps list is empty")
+    for eps in eps_list:
+        if not 0 < eps <= 1:  # NaN fails too
+            raise ParameterError(f"eps values must lie in (0, 1], got {eps}")
 
 
 def _check_refine(factor, name):
@@ -270,15 +283,13 @@ class SweepSpec:
             h0=self.h0 if self.h0 is not None else d["h0"],
             tau0=self.tau0 if self.tau0 is not None else d["tau0"],
             levels=self.levels if self.levels is not None else d["levels"],
-            eps_list=tuple(self.eps_list) if self.eps_list else d["eps_list"],
+            eps_list=tuple(self.eps_list) if self.eps_list is not None else d["eps_list"],
         )
         if out.levels < 2:
             raise ParameterError(f"levels must be >= 2, got {out.levels}")
         _check_refine(out.refine_space, "refine_space")
         _check_refine(out.refine_time, "refine_time")
-        for eps in out.eps_list:
-            if not 0 < eps <= 1:
-                raise ParameterError(f"eps values must lie in (0, 1], got {eps}")
+        _check_eps_list(out.eps_list)
         return out
 
     def exponents(self):
@@ -355,51 +366,41 @@ def run_sweep(spec):
     if spec.mode == "eps_limit":
         return _run_eps_limit(spec, alpha, beta, tau, meta)
 
-    eps_order = sorted(spec.eps_list, reverse=True)
-    # (h, tau) of each level, coarsest first; the last one is also the
-    # level the per-eps reference is refined from
-    if spec.mode == "spatial":
-        levels = [(spec.h0 / 2**i, tau) for i in range(spec.levels)]
-        ref_kw = {"refine_space": spec.refine_space, "refine_time": 1}
-    else:
-        levels = []
-        t = tau
-        for _ in range(spec.levels):
-            levels.append((spec.h0, t))
-            t /= 2.0
-        ref_kw = {"refine_space": 1, "refine_time": spec.refine_time}
-
+    spatial = spec.mode == "spatial"
+    # a reference refines the direction the sweep studies
+    ref_kw = {"refine_space": spec.refine_space if spatial else 1,
+              "refine_time": 1 if spatial else spec.refine_time}
+    factors = [2**i for i in range(spec.levels)]
     tasks = []
-    for eps in eps_order:
-        base = {
-            "preset": spec.preset,
-            "alpha": alpha,
-            "beta": beta,
-            "eps": eps,
-            "T": spec.T,
-        }
-        for h, tt in levels:
-            tasks.append(dict(base, kind="final", h=h, tau=tt))
-        h_fine, t_fine = levels[-1]
-        tasks.append(dict(base, kind="reference", h=h_fine, tau=t_fine, **ref_kw))
+    groups = []  # (eps, the (grid, tau) of each level, coarsest first) per eps
+    for eps in sorted(spec.eps_list, reverse=True):
+        coarse = grid_for(eps, spec.h0)
+        # a spatial level multiplies the cells of the coarsest grid, so the
+        # reference restricts onto its nodes whether or not h0 divides the domain
+        if spatial:
+            levels = [(Grid1D(coarse.a, coarse.b, coarse.M * f), tau) for f in factors]
+        else:
+            levels = [(coarse, tau / f) for f in factors]
+        groups.append((eps, levels))
+        base = {"preset": spec.preset, "alpha": alpha, "beta": beta, "eps": eps, "T": spec.T}
+        tasks.extend(dict(base, kind="final", h=grid.h, tau=tt) for grid, tt in levels)
+        # the reference is refined from the finest level
+        grid, tt = levels[-1]
+        tasks.append(dict(base, kind="reference", h=grid.h, tau=tt, **ref_kw))
 
-    results = _run_tasks(tasks, spec.workers)
-
+    results = iter(_run_tasks(tasks, spec.workers))
     table = RateTable(meta=meta)
-    i = 0
-    for eps in eps_order:
-        level_results = results[i : i + len(levels)]
-        ref = results[i + len(levels)]
-        i += len(levels) + 1
+    for eps, levels in groups:
+        level_results = [next(results) for _ in levels]
+        ref = next(results)
         prev_errs = None
-        for lvl, ((h, tt), res) in enumerate(zip(levels, level_results)):
-            grid = grid_for(eps, h)
+        for lvl, ((grid, tt), res) in enumerate(zip(levels, level_results)):
             if not res["ok"] or not ref["ok"]:
                 msg = res.get("message") or ref.get("message", "reference failed")
                 table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tt, message=msg))
                 prev_errs = None
                 continue
-            stride = 2 ** (spec.levels - 1 - lvl) if spec.mode == "spatial" else 1
+            stride = 2 ** (spec.levels - 1 - lvl) if spatial else 1
             ref_snap = Snapshot(
                 t=ref["t"], E=ref["E"][::stride], F=ref["F"][::stride], N=ref["N"][::stride]
             )
@@ -482,6 +483,7 @@ def _run_eps_limit(spec, alpha, beta, tau, meta):
 
 def limit_study(preset, case, eps_list, h, tau, T=1.0, alpha=None, beta=None, out_path=None, workers=1):
     """Full limit-metric curves per eps, written as a long-format CSV."""
+    _check_eps_list(eps_list)
     alpha, beta = case_exponents(case, alpha, beta)
     tau, _, _ = aligned_tau(T, tau)
     tasks = _limit_tasks(preset, alpha, beta, eps_list, h, tau, T)

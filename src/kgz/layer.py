@@ -19,9 +19,9 @@ from .transforms import dst_forward, dst_inverse
 
 def decay_order(alpha, beta):
     """Effective decay order of the layer, min(alpha, 1 + beta)."""
-    if alpha < 0:
+    if not alpha >= 0:  # NaN fails too
         raise ParameterError(f"alpha must be >= 0, got {alpha}")
-    if beta < -1:
+    if not beta >= -1:
         raise ParameterError(f"beta must be >= -1, got {beta}")
     return min(alpha, 1.0 + beta)
 

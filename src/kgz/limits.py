@@ -1,10 +1,13 @@
 """Limiting Klein-Gordon solvers and the vanishing-eps diagnostics.
 
 The limit model drops the density coupling; optionally it keeps the
-oscillatory layer as a potential. It is not a second scheme: its start and
-step are those of :mod:`kgz.solver` with F = 0 and no density solve, so
-differences between the two trajectories measure the coupling effect
-rather than scheme differences.
+oscillatory layer as a potential. It is not a second scheme and has no
+types of its own: its states and trajectories are those of
+:mod:`kgz.solver` with F None, and its start and steps are the solver's
+with F = 0 and no density solve, so differences between the two
+trajectories measure the coupling effect rather than scheme differences.
+``KgState`` and ``KgTrajectory`` remain as other names for
+:class:`~kgz.solver.KgzState` and :class:`~kgz.solver.Trajectory`.
 
 The diagnostics (:class:`LimitMetrics`) are reduced level by level as the
 levels are produced, in blocks of ``_BLOCK`` levels: the norms of a level
@@ -28,69 +31,45 @@ import numpy as np
 
 from .errors import ShapeError
 from .grid import GridNorms, grid_norms, inner_product
-from .solver import KgzState, _advance, _step, _taylor_start, build_layer, first_state, march
+from .solver import KgzState, Trajectory, _record, _step, _step_back, _taylor_start
+from .solver import build_layer, first_state, march
 from .solver import _solve_field  # noqa: F401  perfbench/tracer.py wraps this name here
 
 # time levels per reduced block; any size gives the same bits, it only
 # trades the block's memory against numpy calls per level
 _BLOCK = 16
 
-
-@dataclass(frozen=True)
-class KgState:
-    k: int
-    t_k: float
-    E_prev: np.ndarray
-    E_curr: np.ndarray
-
-
-@dataclass(frozen=True)
-class KgTrajectory:
-    eps: float
-    times: np.ndarray
-    E: np.ndarray
+KgState = KgzState
+KgTrajectory = Trajectory
 
 
 def first_state_kg(params, data, layer, use_potential=True):
-    """Taylor start for the limit model; matches the coupled start exactly.
+    """Taylor start for the limit model, a KgzState with no F; matches the coupled start exactly.
 
     With the potential on, the initial field acceleration is the same as in
     the coupled system; plain Klein-Gordon drops the incompatibility term.
     """
     E0, E1, _ = _taylor_start(params, data, layer, use_potential)
-    return KgState(k=1, t_k=params.tau, E_prev=E0, E_curr=E1)
+    return KgzState(k=1, t_k=params.tau, E_prev=E0, E_curr=E1)
 
 
 def step_kg(state, params, layer, use_potential=True):
     """One forward step of the limit model."""
     potential = layer.averaged_wave(state.t_k, params.tau) if use_potential else None
-    return _step_kg(state, params, potential)
-
-
-def _step_kg(s, params, potential):
-    """``step_kg`` with the averaged potential (or None) already evaluated."""
-    E, _ = _advance(s.E_curr, s.E_prev, None, None, potential, params)
-    k = s.k + 1
-    return KgState(k=k, t_k=k * params.tau, E_prev=s.E_curr, E_curr=E)
+    return _step(state, params, potential)
 
 
 def step_kg_back(state, params, layer, use_potential=True):
     """One backward step, centered at the prev level (see solver.step_back)."""
     tau = params.tau
     potential = layer.averaged_wave(state.t_k - tau, tau) if use_potential else None
-    E, _ = _advance(state.E_prev, state.E_curr, None, None, potential, params)
-    k = state.k - 1
-    return KgState(k=k, t_k=k * tau, E_prev=E, E_curr=state.E_prev)
+    return _step_back(state, params, potential)
 
 
 def trajectory_kg(params, data, layer, use_potential=True):
-    K = params.n_steps()
+    """Every time level of the limit model to T, as a Trajectory with F None."""
     state = first_state_kg(params, data, layer, use_potential)
-    E = np.empty((K + 1, params.grid.M + 1))
-    E[0] = state.E_prev
-    for state in march(state, lambda s: step_kg(s, params, layer, use_potential), K - 1):
-        E[state.k] = state.E_curr
-    return KgTrajectory(eps=params.eps, times=np.arange(K + 1) * params.tau, E=E)
+    return _record(state, lambda s: step_kg(s, params, layer, use_potential), params)
 
 
 def _centered(F, tau):
@@ -239,7 +218,7 @@ class _Lockstep(NamedTuple):
     k: int
     t_k: float
     coupled: KgzState
-    limit: KgState
+    limit: KgzState
 
 
 def _lockstep_metrics(params, data):
@@ -257,7 +236,7 @@ def _lockstep_metrics(params, data):
     def advance(s):
         potential = layer.averaged_wave(s.t_k, tau)
         coupled = _step(s.coupled, params, potential)
-        return _Lockstep(coupled.k, coupled.t_k, coupled, _step_kg(s.limit, params, potential))
+        return _Lockstep(coupled.k, coupled.t_k, coupled, _step(s.limit, params, potential))
 
     for state in march(state, advance, K - 1):
         reducer.push(state.coupled.F_curr, state.coupled.E_curr, state.limit.E_curr)

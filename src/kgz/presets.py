@@ -86,7 +86,7 @@ def case_exponents(case, alpha=None, beta=None):
 
 def domain_for_eps(eps):
     """Truncated interval wide enough for the outgoing layer up to t ~ 1."""
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:  # NaN fails too
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     half = 30.0 + 1.0 / eps
     return -half, half

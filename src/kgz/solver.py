@@ -7,9 +7,11 @@ field E (its system needs the averaged layer potential at the current time),
 then F, whose source term consumes the freshly computed field level.
 
 The scheme is one symmetric three-level stencil, written once in
-``_advance``; backward steps swap its outer levels, and the eps -> 0+ limit
+``_advance``; backward steps swap its outer levels. The eps -> 0+ limit
 model of :mod:`kgz.limits` is the same stencil with F = 0 and no density
-solve. One generator, ``march``, owns the time loop of every driver.
+solve, and one state type, :class:`KgzState` with F None, so ``_step``,
+``_step_back`` and ``_record`` serve both models. One generator,
+``march``, owns the time loop of every driver.
 
 The field matrix depends on the current level and is solved afresh each
 step; only its constant off-diagonal is built once per grid. The density
@@ -62,13 +64,11 @@ class KgzParams:
     T: float
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
+        for name in ("eps", "tau", "T"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:  # NaN fails too
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
         decay_order(self.alpha, self.beta)
-        if self.tau <= 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
-        if self.T <= 0:
-            raise ParameterError(f"T must be positive, got {self.T}")
         self.n_steps()  # reject a partial final step early
 
     def n_steps(self):
@@ -106,14 +106,14 @@ class InitialData:
 
 @dataclass(frozen=True)
 class KgzState:
-    """Two consecutive time levels of (E, F); curr sits at t_k = k*tau."""
+    """Levels prev and curr of (E, F), F None in the limit model; curr sits at t_k = k*tau."""
 
     k: int
     t_k: float
     E_prev: np.ndarray
     E_curr: np.ndarray
-    F_prev: np.ndarray
-    F_curr: np.ndarray
+    F_prev: np.ndarray = None
+    F_curr: np.ndarray = None
 
 
 class Snapshot(NamedTuple):
@@ -125,12 +125,12 @@ class Snapshot(NamedTuple):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Every time level of a run; E and F have shape (n_steps + 1, M + 1)."""
+    """Every time level of a run; E and F (None in the limit model) have shape (K + 1, M + 1)."""
 
     eps: float
     times: np.ndarray
     E: np.ndarray
-    F: np.ndarray
+    F: np.ndarray = None
 
 
 def build_layer(params, data):
@@ -278,7 +278,7 @@ def step(state, params, layer):
 
 
 def _step(s, params, potential):
-    """``step`` with the averaged potential at the curr level already evaluated."""
+    """``step`` with the averaged potential at the curr level already evaluated; either model."""
     E, F = _advance(s.E_curr, s.E_prev, s.F_curr, s.F_prev, potential, params)
     k = s.k + 1
     return KgzState(k=k, t_k=k * params.tau, E_prev=s.E_curr, E_curr=E, F_prev=s.F_curr, F_curr=F)
@@ -290,11 +290,15 @@ def step_back(state, params, layer):
     The averaged potential is taken at the time of the prev level, the same
     value the matching forward step used.
     """
-    s, tau = state, params.tau
-    potential = layer.averaged_wave(s.t_k - tau, tau)
+    tau = params.tau
+    return _step_back(state, params, layer.averaged_wave(state.t_k - tau, tau))
+
+
+def _step_back(s, params, potential):
+    """``step_back`` with the averaged potential at the prev level evaluated; either model."""
     E, F = _advance(s.E_prev, s.E_curr, s.F_prev, s.F_curr, potential, params)
     k = s.k - 1
-    return KgzState(k=k, t_k=k * tau, E_prev=E, E_curr=s.E_prev, F_prev=F, F_curr=s.F_prev)
+    return KgzState(k=k, t_k=k * params.tau, E_prev=E, E_curr=s.E_prev, F_prev=F, F_curr=s.F_prev)
 
 
 def march(state, advance, n_steps):
@@ -365,16 +369,23 @@ def run(params, data, snapshot_times=None):
 
 def trajectory(params, data):
     """Run to T recording every time level (for limit diagnostics)."""
-    K = params.n_steps()
     layer = build_layer(params, data)
-    state = first_state(params, data, layer)
+    return _record(first_state(params, data, layer), lambda s: step(s, params, layer), params)
+
+
+def _record(state, advance, params):
+    """March a k = 1 state to T and store every level; F only when the state carries it."""
+    K = params.n_steps()
     E = np.empty((K + 1, params.grid.M + 1))
-    F = np.empty_like(E)
-    E[0], F[0] = state.E_prev, state.F_prev
-    for state in march(state, lambda s: step(s, params, layer), K - 1):
-        E[state.k], F[state.k] = state.E_curr, state.F_curr
-    times = np.arange(K + 1) * params.tau
-    return Trajectory(eps=params.eps, times=times, E=E, F=F)
+    F = None if state.F_curr is None else np.empty_like(E)
+    E[0] = state.E_prev
+    if F is not None:
+        F[0] = state.F_prev
+    for state in march(state, advance, K - 1):
+        E[state.k] = state.E_curr
+        if F is not None:
+            F[state.k] = state.F_curr
+    return Trajectory(eps=params.eps, times=np.arange(K + 1) * params.tau, E=E, F=F)
 
 
 def energy(state, layer, params):

@@ -116,6 +116,30 @@ class TestSolve:
         assert meta["alpha"] == "0"
         assert meta["beta"] == "0"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--eps", "nan"], ["--h", "nan"], ["--tau", "nan"], ["--T", "inf"], ["--eps", "inf"],
+            ["--case", "custom", "--alpha", "nan", "--beta", "0"], ["--domain=-inf,5"],
+        ],
+        ids=["eps-nan", "h-nan", "tau-nan", "T-inf", "eps-inf", "alpha-nan", "domain-inf"],
+    )
+    def test_non_finite_scalar_exits_1(self, tmp_path, capsys, args):
+        code = main(["solve", *args, "--out", str(tmp_path / "s")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "parameter error" in err and "must be" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "invalid"])
+    def test_bad_config_exits_1(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "parameter error" in capsys.readouterr().err
+
     def test_domain_override(self, tmp_path):
         code = main(
             [
@@ -168,6 +192,16 @@ class TestLimitStudy:
         )
         assert code == 1
         assert "time levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["limit-study"], ["sweep", "--mode", "eps-limit"]],
+                             ids=["limit-study", "sweep"])
+    @pytest.mark.parametrize("eps_list", ["2", ","], ids=["above-1", "empty"])
+    def test_eps_rule_exits_1(self, tmp_path, capsys, command, eps_list):
+        out = tmp_path / "x.csv"
+        code = main([*command, "--eps-list", eps_list, "--out", str(out)])
+        assert code == 1
+        assert "eps" in capsys.readouterr().err
         assert not out.exists()
 
     def test_blow_up_exits_2_and_writes_no_csv(self, tmp_path, monkeypatch, capsys):

@@ -309,6 +309,18 @@ class TestRunSweep:
                           levels=2, T=0.1, refine_time=3)
             )
 
+    def test_spatial_levels_refine_the_coarsest_grid(self):
+        # h0 = 0.3094 does not divide the domain length 62: the levels must
+        # still halve exactly so the reference restricts onto their nodes
+        table = run_sweep(
+            SweepSpec(mode="spatial", case="II", eps_list=(1.0,), h0=0.3094, tau0=0.02,
+                      levels=2, T=0.04)
+        )
+        assert table.failures == []
+        coarse, fine = table.rows
+        assert fine.h == coarse.h / 2
+        assert 1.5 <= fine.rate_e <= 2.5
+
     def test_worker_pool_matches_serial(self, tmp_path):
         from dataclasses import replace
 

@@ -321,3 +321,29 @@ class TestKgEnergy:
         assert drifts[0] < 1.5e-7
         assert drifts[0] < 1e-2
         assert drifts[0] / drifts[1] >= 2.0
+
+
+class TestOneStateType:
+    """The limit model is a KgzState or Trajectory with F None, stepped by the solver's steps."""
+
+    def test_solver_steps_on_a_state_without_f_are_the_limit_steps(self):
+        data = preset_initial_data("gauss_sech")
+        params = toy_params(eps=0.3, M=64, tau=0.02)
+        layer = build_layer(params, data)
+        state = first_state_kg(params, data, layer)
+        for _ in range(3):
+            state = step_kg(state, params, layer)
+        bare = KgzState(k=state.k, t_k=state.t_k, E_prev=state.E_prev, E_curr=state.E_curr)
+        for solver_step, limit_step in ((step, step_kg), (step_back, step_kg_back)):
+            got, want = solver_step(bare, params, layer), limit_step(state, params, layer)
+            assert (got.k, got.t_k) == (want.k, want.t_k)
+            assert np.array_equal(got.E_prev, want.E_prev)
+            assert np.array_equal(got.E_curr, want.E_curr)
+            assert got.F_prev is None and got.F_curr is None
+
+    def test_trajectory_kg_is_a_trajectory_without_f(self):
+        data = preset_initial_data("gauss_sech")
+        params = toy_params(eps=0.3, M=40, tau=0.02, T=0.1)
+        limit = trajectory_kg(params, data, build_layer(params, data))
+        assert isinstance(limit, Trajectory) and limit.F is None
+        assert limit.E.shape == (6, 41)
