@@ -1,12 +1,17 @@
 """Command line interface: solve, sweep, limit-study, check.
 
-Every option of a subcommand can also come from a JSON document passed via
-``--config``; values given on the command line win. Exit codes: 0 success,
-1 parameter problem, 2 numerical failure.
+Every option of a subcommand can also come from a JSON object passed via
+``--config``. Each key names an option, with ``_`` for ``-`` (``eps_list``),
+and its value is read exactly as that flag's value: a list is a comma list,
+``true`` sets a switch, ``null`` and ``false`` leave the option unset, and
+a key that names no option of the subcommand is an error. The config's
+flags go before the command line's own, so values given on the command
+line win. Exit codes: 0 success, 1 parameter problem, 2 numerical failure.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import KgzError, ParameterError
@@ -18,7 +23,7 @@ from .harness import (
     run_sweep,
     write_snapshots,
 )
-from .presets import case_exponents, domain_for_eps, preset_initial_data
+from .presets import case_exponents, preset_initial_data
 from .solver import run
 
 
@@ -33,7 +38,9 @@ def _floats(text):
     try:
         return tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
-        raise ParameterError(f"expected comma-separated numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _add_common(p):
@@ -54,15 +61,15 @@ def build_parser():
     p.add_argument("--eps", type=float, help="acoustic parameter in (0, 1]")
     p.add_argument("--h", type=float, help="target mesh size")
     p.add_argument("--tau", type=float, help="time step")
-    p.add_argument("--snapshots", help="comma-separated snapshot times")
-    p.add_argument("--domain", help="override domain, written as --domain=a,b")
+    p.add_argument("--snapshots", type=_floats, help="comma-separated snapshot times")
+    p.add_argument("--domain", type=_floats, help="override domain, written as --domain=a,b")
     p.add_argument("--out", help="output path prefix")
     p.add_argument("--paper-scale", action="store_true", dest="paper_scale")
 
     p = sub.add_parser("sweep", help="convergence sweep producing a rate table")
     _add_common(p)
     p.add_argument("--mode", choices=["spatial", "temporal", "eps-limit"])
-    p.add_argument("--eps-list", dest="eps_list", help="comma-separated eps values")
+    p.add_argument("--eps-list", type=_floats, dest="eps_list", help="comma-separated eps values")
     p.add_argument("--h0", type=float, help="coarsest mesh size")
     p.add_argument("--tau0", type=float, help="coarsest time step")
     p.add_argument("--levels", type=int, help="number of halving levels")
@@ -72,13 +79,15 @@ def build_parser():
 
     p = sub.add_parser("limit-study", help="limit-metric curves per eps")
     _add_common(p)
-    p.add_argument("--eps-list", dest="eps_list", help="comma-separated eps values")
+    p.add_argument("--eps-list", type=_floats, dest="eps_list", help="comma-separated eps values")
     p.add_argument("--h", type=float, help="mesh size")
     p.add_argument("--tau", type=float, help="time step")
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--workers", type=int, help="parallel worker processes")
 
     sub.add_parser("check", help="run the property suite")
+    for name, defaults in _DEFAULTS.items():
+        sub.choices[name].set_defaults(**defaults)
     return parser
 
 
@@ -105,7 +114,7 @@ _DEFAULTS = {
         "case": "custom",
         "alpha": 0.0,
         "beta": 0.0,
-        "eps_list": "0.25,0.125,0.0625,0.03125,0.015625",
+        "eps_list": (0.25, 0.125, 0.0625, 0.03125, 0.015625),
         "h": 0.05,
         "tau": 1e-3,
         "T": 1.0,
@@ -115,55 +124,42 @@ _DEFAULTS = {
 }
 
 
-def _merge_config(args):
-    """Layer JSON config under the CLI values, then builtin defaults."""
-    merged = dict(vars(args))
-    config = {}
-    if merged.get("config"):
-        try:
-            with open(merged["config"]) as fh:
-                config = json.load(fh)
-        except OSError as exc:
-            raise ParameterError(f"cannot read --config {merged['config']}: {exc.strerror}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParameterError(f"--config {merged['config']} is not valid JSON: {exc}") from None
-        if not isinstance(config, dict):
-            raise ParameterError("--config must hold a JSON object")
-    defaults = _DEFAULTS.get(merged["command"], {})
-    for key, value in merged.items():
-        if key == "paper_scale":
-            # a store_true flag cannot distinguish absent from false
-            merged[key] = bool(value) or bool(config.get(key, False))
-        elif value is None:
-            if key in config:
-                merged[key] = config[key]
-            elif key in defaults:
-                merged[key] = defaults[key]
-    return merged
+def _config_flags(path, options):
+    """The ``--key=value`` flags a JSON config object stands for."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read --config {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"--config {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ParameterError("--config must hold a JSON object")
+    flags = []
+    for key, value in config.items():
+        if key not in options:
+            raise ParameterError(f"--config key {key!r} names no option of this subcommand")
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        if value is True:
+            flags.append(flag)
+        elif value is not None and value is not False:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def _cmd_solve(opt):
-    alpha, beta = case_exponents(opt["case"], opt.get("alpha"), opt.get("beta"))
-    domain = None
-    if opt.get("domain"):
-        vals = _floats(opt["domain"]) if isinstance(opt["domain"], str) else tuple(opt["domain"])
-        if len(vals) != 2:
-            raise ParameterError("--domain wants exactly two numbers 'a,b'")
-        domain = vals
-    tau, _, adjusted = aligned_tau(opt["T"], opt["tau"])
-    params = make_params(opt["eps"], alpha, beta, opt["h"], tau, opt["T"], domain)
-    data = preset_initial_data(opt["preset"])
-    times = None
-    if opt.get("snapshots"):
-        times = (
-            _floats(opt["snapshots"])
-            if isinstance(opt["snapshots"], str)
-            else tuple(opt["snapshots"])
-        )
+    alpha, beta = case_exponents(opt.case, opt.alpha, opt.beta)
+    if opt.domain and len(opt.domain) != 2:
+        raise ParameterError("--domain wants exactly two numbers 'a,b'")
+    tau, _, adjusted = aligned_tau(opt.T, opt.tau)
+    params = make_params(opt.eps, alpha, beta, opt.h, tau, opt.T, opt.domain or None)
+    data = preset_initial_data(opt.preset)
     if adjusted:
         print(f"adjusted tau to {tau:.17g} to divide T", file=sys.stderr)
-    snaps = run(params, data, times)
-    paths = write_snapshots(opt["out"], snaps, params)
+    snaps = run(params, data, opt.snapshots or None)
+    paths = write_snapshots(opt.out, snaps, params)
     a, b = params.grid.a, params.grid.b
     print(
         f"solved eps={params.eps:g} on ({a:g}, {b:g}) with M={params.grid.M}, "
@@ -173,26 +169,23 @@ def _cmd_solve(opt):
 
 
 def _cmd_sweep(opt):
-    eps_list = opt.get("eps_list")
-    if isinstance(eps_list, str):
-        eps_list = _floats(eps_list)
     spec = SweepSpec(
-        mode=str(opt["mode"]).replace("-", "_"),
-        preset=opt["preset"],
-        case=opt["case"],
-        alpha=opt.get("alpha"),
-        beta=opt.get("beta"),
-        eps_list=eps_list,
-        h0=opt.get("h0"),
-        tau0=opt.get("tau0"),
-        levels=opt.get("levels"),
-        T=opt["T"],
-        out_path=opt["out"],
-        workers=int(opt.get("workers") or 1),
-        paper_scale=bool(opt.get("paper_scale")),
+        mode=opt.mode.replace("-", "_"),
+        preset=opt.preset,
+        case=opt.case,
+        alpha=opt.alpha,
+        beta=opt.beta,
+        eps_list=opt.eps_list,
+        h0=opt.h0,
+        tau0=opt.tau0,
+        levels=opt.levels,
+        T=opt.T,
+        out_path=opt.out,
+        workers=opt.workers,
+        paper_scale=opt.paper_scale,
     )
     table = run_sweep(spec)
-    print(f"wrote {opt['out']} with {len(table.rows)} rows", end="")
+    print(f"wrote {opt.out} with {len(table.rows)} rows", end="")
     if table.failures:
         print(f" and {len(table.failures)} failed runs", end="")
     if "eta_slope" in table.meta:
@@ -202,23 +195,19 @@ def _cmd_sweep(opt):
 
 
 def _cmd_limit_study(opt):
-    eps_list = opt.get("eps_list")
-    if isinstance(eps_list, str):
-        eps_list = _floats(eps_list)
-    summary = limit_study(
-        preset=opt["preset"],
-        case=opt["case"],
-        eps_list=eps_list,
-        h=opt["h"],
-        tau=opt["tau"],
-        T=opt["T"],
-        alpha=opt.get("alpha"),
-        beta=opt.get("beta"),
-        out_path=opt["out"],
-        workers=int(opt.get("workers") or 1),
+    slope = limit_study(
+        preset=opt.preset,
+        case=opt.case,
+        eps_list=opt.eps_list,
+        h=opt.h,
+        tau=opt.tau,
+        T=opt.T,
+        alpha=opt.alpha,
+        beta=opt.beta,
+        out_path=opt.out,
+        workers=opt.workers,
     )
-    slope = summary["slope"]
-    print(f"wrote {opt['out']}; eta_e slope vs eps: {slope if slope is None else f'{slope:.3f}'}")
+    print(f"wrote {opt.out}; eta_e slope vs eps: {slope if slope is None else f'{slope:.3f}'}")
     return 0
 
 
@@ -236,16 +225,23 @@ def _cmd_check(opt):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        opt = _merge_config(args)
+        opt = parser.parse_args(argv)
+        if getattr(opt, "config", None):
+            options = vars(opt).keys() - {"command"}
+            at = argv.index(opt.command) + 1
+            opt = parser.parse_args(argv[:at] + _config_flags(opt.config, options) + argv[at:])
+        out = getattr(opt, "out", None)
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ParameterError(f"--out {out}: its directory does not exist")
         handler = {
             "solve": _cmd_solve,
             "sweep": _cmd_sweep,
             "limit-study": _cmd_limit_study,
             "check": _cmd_check,
-        }[opt["command"]]
+        }[opt.command]
         return handler(opt)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

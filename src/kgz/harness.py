@@ -5,6 +5,9 @@ scheme run on a grid refined by a power of two in the studied direction and
 restricted back by injection at the shared nodes. Reference factors of 8x
 (space) and 16x (time) leave the reference error far below the measured one;
 a reference-independence check lives in the test suite.
+
+Every file the harness writes (rate table, limit-study curves, solve
+snapshot) has one CSV layout, written by ``_write_csv``.
 """
 
 import math
@@ -166,23 +169,31 @@ class RateTable:
 # the CSV columns are the ErrorRow fields, in order
 _COLUMNS = ("eps", "h", "tau", "t", "e_err", "n_err", "rate_e", "rate_n")
 _HEADER = ",".join(_COLUMNS)
+_TABLE_TITLE = "kgz sweep table"
+
+
+def _write_csv(path, title, meta, header, rows, notes=()):
+    """Atomically write kgz's one CSV layout.
+
+    ``# title``, one ``# key=value`` line per meta item, one ``# note`` line
+    per note, the header, then one line per row. A string cell is written
+    as it is, a number in 6 significant digits and None as an empty cell.
+    """
+    lines = [f"# {title}", *(f"# {k}={v}" for k, v in meta.items()), *(f"# {n}" for n in notes)]
+    lines.append(header)
+    lines.extend(",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows)
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_table(table, path):
     """Atomically write a rate table; byte layout is fully deterministic."""
-    lines = ["# kgz sweep table"]
-    for key, value in table.meta.items():
-        lines.append(f"# {key}={value}")
-    for fr in table.failures:
-        lines.append(f"# failed eps={_fmt(fr.eps)} h={_fmt(fr.h)} tau={_fmt(fr.tau)} {fr.message}")
-    lines.append(_HEADER)
-    for r in table.rows:
-        lines.append(",".join(_fmt(getattr(r, name)) for name in _COLUMNS))
-    for fr in table.failures:
-        lines.append(
-            ",".join([_fmt(fr.eps), _fmt(fr.h), _fmt(fr.tau), "", "ERROR", "ERROR", "", ""])
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    notes = [
+        f"failed eps={_fmt(fr.eps)} h={_fmt(fr.h)} tau={_fmt(fr.tau)} {fr.message}"
+        for fr in table.failures
+    ]
+    rows = [[getattr(r, name) for name in _COLUMNS] for r in table.rows]
+    rows += [[fr.eps, fr.h, fr.tau, None, "ERROR", "ERROR", None, None] for fr in table.failures]
+    _write_csv(path, _TABLE_TITLE, table.meta, _HEADER, rows, notes)
 
 
 def _atomic_write(path, text):
@@ -200,41 +211,34 @@ def _atomic_write(path, text):
 
 def read_table(path):
     """Parse a sweep CSV back into a RateTable."""
+    with open(path, "r", newline="") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != f"# {_TABLE_TITLE}" or _HEADER not in lines:
+        raise ParameterError(f"{path} is not a kgz sweep table")
     meta = {}
     rows = []
     failures = []
     fail_msgs = {}
-    with open(path, "r", newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("failed "):
-                    parts = body[len("failed ") :].split(" ", 3)
-                    key = tuple(p.split("=", 1)[1] for p in parts[:3])
-                    fail_msgs[key] = parts[3] if len(parts) > 3 else ""
-                elif "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key] = value
-                continue
-            if line == _HEADER:
-                continue
-            cells = line.split(",")
-            if "ERROR" in cells:
-                key = (cells[0], cells[1], cells[2])
-                failures.append(
-                    FailedRow(
-                        eps=float(cells[0]),
-                        h=float(cells[1]),
-                        tau=float(cells[2]),
-                        message=fail_msgs.get(key, ""),
-                    )
-                )
-                continue
-            vals = (float(c) if c else None for c in cells)
-            rows.append(ErrorRow(**dict(zip(_COLUMNS, vals))))
+    for line in lines:
+        if not line or line == _HEADER:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("failed "):
+                parts = body[len("failed ") :].split(" ", 3)
+                key = tuple(p.split("=", 1)[1] for p in parts[:3])
+                fail_msgs[key] = parts[3] if len(parts) > 3 else ""
+            elif "=" in body:
+                key, value = body.split("=", 1)
+                meta[key] = value
+            continue
+        cells = line.split(",")
+        if "ERROR" in cells:
+            key = tuple(cells[:3])  # eps, h, tau
+            failures.append(FailedRow(*map(float, key), message=fail_msgs.get(key, "")))
+            continue
+        vals = (float(c) if c else None for c in cells)
+        rows.append(ErrorRow(**dict(zip(_COLUMNS, vals))))
     return RateTable(meta=meta, rows=rows, failures=failures)
 
 
@@ -482,39 +486,33 @@ def _run_eps_limit(spec, alpha, beta, tau, meta):
 
 
 def limit_study(preset, case, eps_list, h, tau, T=1.0, alpha=None, beta=None, out_path=None, workers=1):
-    """Full limit-metric curves per eps, written as a long-format CSV."""
+    """Full limit-metric curves per eps, written as a long-format CSV.
+
+    Returns the slope of log2 max eta_e against log2 eps (None below two eps).
+    """
     _check_eps_list(eps_list)
     alpha, beta = case_exponents(case, alpha, beta)
     tau, _, _ = aligned_tau(T, tau)
     tasks = _limit_tasks(preset, alpha, beta, eps_list, h, tau, T)
     results = _run_tasks(tasks, workers)
-    summary = {"per_eps": {}, "slope": None}
-    lines = ["# kgz limit study", f"# preset={preset}", f"# case={case}",
-             f"# alpha={alpha:g}", f"# beta={beta:g}", f"# h={h:g}",
-             f"# tau={tau:.17g}", f"# T={T:g}"]
     points = []
-    body = []
+    rows = []
     for task, res in zip(tasks, results):
         eps = task["eps"]
         if not res["ok"]:
             raise KgzError(f"limit run failed for eps={eps}: {res['message']}")
         curves = res["curves"]
-        summary["per_eps"][eps] = {
-            "max_eta_e": res["max_eta_e"],
-            "t_max": res["t_max"],
-            "max_f_over_eps": res["max_f_over_eps"],
-        }
         points.append((eps, res["max_eta_e"]))
-        for row in zip(curves.times, curves.eta_2, curves.eta_inf, curves.eta_e):
-            body.append(",".join(_fmt(v) for v in (eps, *row)))
-    summary["slope"] = _eta_slope(points)
-    if summary["slope"] is not None:
-        lines.append(f"# eta_slope={summary['slope']:.6f}")
-    lines.append("eps,t,eta_2,eta_inf,eta_e")
-    lines.extend(body)
+        columns = (curves.times, curves.eta_2, curves.eta_inf, curves.eta_e)
+        rows.extend((eps, *row) for row in zip(*columns))
+    slope = _eta_slope(points)
+    meta = {"preset": preset, "case": case, "alpha": f"{alpha:g}", "beta": f"{beta:g}",
+            "h": f"{h:g}", "tau": f"{tau:.17g}", "T": f"{T:g}"}
+    if slope is not None:
+        meta["eta_slope"] = f"{slope:.6f}"
     if out_path:
-        _atomic_write(out_path, "\n".join(lines) + "\n")
-    return summary
+        _write_csv(out_path, "kgz limit study", meta, "eps,t,eta_2,eta_inf,eta_e", rows)
+    return slope
 
 
 def write_snapshots(out_prefix, snaps, params):
@@ -523,28 +521,16 @@ def write_snapshots(out_prefix, snaps, params):
     paths = []
     for snap in snaps:
         path = f"{out_prefix}_t{snap.t:g}.csv"
-        lines = [
-            "# kgz solve snapshot",
-            f"# eps={params.eps:g}",
-            f"# alpha={params.alpha:g}",
-            f"# beta={params.beta:g}",
-            f"# domain=({grid.a:g}, {grid.b:g})",
-            f"# h={grid.h:.17g}",
-            f"# tau={params.tau:.17g}",
-            f"# t={snap.t:.17g}",
-            "x,E,F,N",
-        ]
-        for j in range(grid.M + 1):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(grid.nodes[j]),
-                        _fmt(snap.E[j]),
-                        _fmt(snap.F[j]),
-                        _fmt(snap.N[j]),
-                    ]
-                )
-            )
-        _atomic_write(path, "\n".join(lines) + "\n")
+        meta = {
+            "eps": f"{params.eps:g}",
+            "alpha": f"{params.alpha:g}",
+            "beta": f"{params.beta:g}",
+            "domain": f"({grid.a:g}, {grid.b:g})",
+            "h": f"{grid.h:.17g}",
+            "tau": f"{params.tau:.17g}",
+            "t": f"{snap.t:.17g}",
+        }
+        rows = zip(grid.nodes, snap.E, snap.F, snap.N)
+        _write_csv(path, "kgz solve snapshot", meta, "x,E,F,N", rows)
         paths.append(path)
     return paths

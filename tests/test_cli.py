@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+import kgz.cli
 from kgz import InitialData, presets
 from kgz.cli import main
-from kgz.harness import read_table
+from kgz.harness import RateTable, read_table
 
 
 def read_snapshot_csv(path):
@@ -241,6 +242,110 @@ class TestLimitStudy:
         text = out.read_text()
         assert "eps,t,eta_2,eta_inf,eta_e" in text
         assert "# eta_slope=" in text
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize(
+        "command, runner",
+        [
+            (["solve", "--h", "0.5", "--tau", "0.01", "--T", "0.05"], "run"),
+            (["sweep", "--eps-list", "1", "--h0", "0.4", "--levels", "2", "--T", "0.05"],
+             "run_sweep"),
+            (["limit-study", "--eps-list", "0.25", "--h", "0.5", "--tau", "0.05", "--T", "0.25"],
+             "limit_study"),
+        ],
+        ids=["solve", "sweep", "limit-study"],
+    )
+    def test_missing_directory_exits_1_before_any_run(
+        self, tmp_path, monkeypatch, capsys, command, runner
+    ):
+        monkeypatch.setattr(kgz.cli, runner, _fail_if_called)
+        code = main([*command, "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "parameter error" in captured.err and "missing" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestConfigFlags:
+    def run_config(self, tmp_path, command, config, *flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return main([command, "--config", str(cfg), *flags])
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("solve", {"h": "abc"}),
+            ("sweep", {"workers": "x"}),
+            ("solve", {"domain": 5}),
+            ("sweep", {"eps_list": [[1, 2]]}),
+        ],
+        ids=["solve-h-text", "sweep-workers-text", "solve-domain-number", "sweep-nested-list"],
+    )
+    def test_wrong_type_exits_1(self, tmp_path, capsys, command, config):
+        code = self.run_config(tmp_path, command, config, "--out", str(tmp_path / "x"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "parameter error" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("solve", {"nope": 1}), ("sweep", {"h": 0.1}), ("limit-study", {"mode": "spatial"}),
+         ("solve", {"command": "sweep"})],
+        ids=["solve-nope", "sweep-h", "limit-study-mode", "solve-command"],
+    )
+    def test_unknown_key_exits_1(self, tmp_path, capsys, command, config):
+        code = self.run_config(tmp_path, command, config, "--out", str(tmp_path / "x"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "parameter error" in err and "names no option" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "limit-study"])
+    def test_bad_eps_list_text_exits_1(self, tmp_path, capsys, command):
+        code = self.run_config(tmp_path, command, {"eps_list": "abc"}, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert "expected comma-separated numbers, got 'abc'" in capsys.readouterr().err
+
+    def test_domain_list(self, tmp_path):
+        code = self.run_config(
+            tmp_path, "solve", {"domain": [-5, 5], "eps": 0.5, "h": 0.5, "tau": 0.01, "T": 0.05},
+            "--out", str(tmp_path / "dom"),
+        )
+        assert code == 0
+        meta, rows = read_snapshot_csv(str(tmp_path / "dom") + "_t0.05.csv")
+        assert meta["domain"] == "(-5, 5)"
+        assert rows.shape[0] == 21
+
+    def test_eps_list(self, tmp_path):
+        out = tmp_path / "limit.csv"
+        code = self.run_config(
+            tmp_path, "limit-study", {"eps_list": [0.25]}, "--preset", "gauss_sech",
+            "--case", "I", "--h", "0.5", "--tau", "0.05", "--T", "0.25", "--out", str(out),
+        )
+        assert code == 0
+        data = [l for l in out.read_text().splitlines() if l[0].isdigit()]
+        assert len(data) == 6 and all(l.startswith("2.50000E-01,") for l in data)
+
+    @pytest.mark.parametrize(
+        "config, paper_scale, eps_list",
+        [
+            ({"paper_scale": True, "eps_list": [1, 0.5]}, True, (1.0, 0.5)),
+            ({"paper_scale": False, "eps_list": None}, False, None),
+        ],
+        ids=["true-and-list", "false-and-null"],
+    )
+    def test_switch_and_null(self, tmp_path, monkeypatch, config, paper_scale, eps_list):
+        specs = []
+        monkeypatch.setattr(kgz.cli, "run_sweep", lambda spec: specs.append(spec) or RateTable())
+        assert self.run_config(tmp_path, "sweep", config, "--out", str(tmp_path / "x")) == 0
+        assert (specs[0].paper_scale, specs[0].eps_list) == (paper_scale, eps_list)
 
 
 class TestCheck:

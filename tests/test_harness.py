@@ -10,6 +10,7 @@ from kgz import (
     Grid1D,
     IllConditionedError,
     InitialData,
+    KgzParams,
     ParameterError,
     ShapeError,
     Snapshot,
@@ -18,11 +19,13 @@ from kgz import (
     convergence_rate,
     error_metrics,
     grid_for,
+    limit_study,
     make_params,
     read_table,
     reference_solution,
     run,
     run_sweep,
+    write_snapshots,
     write_table,
 )
 from kgz import presets
@@ -204,6 +207,89 @@ class TestTableSerialization:
         write_table(self.make_table(), str(tmp_path / "t.csv"))
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+    @pytest.mark.parametrize("kind", ["limit", "snapshot", "other"])
+    def test_read_table_rejects_other_csv(self, tmp_path, kind):
+        path = tmp_path / "x.csv"
+        if kind == "limit":
+            limit_study("gauss_sech", "I", (0.25,), 0.5, 0.05, T=0.25, out_path=str(path))
+        elif kind == "snapshot":
+            path = write_snapshots(str(tmp_path / "s"), [_SNAP], _SNAP_PARAMS)[0]
+        else:
+            path.write_text("# kgz sweep table\na,b\n1,2\n")
+        with pytest.raises(ParameterError, match="not a kgz sweep table") as info:
+            read_table(str(path))
+        assert str(path) in str(info.value)
+
+
+_SNAP = Snapshot(
+    t=0.05, E=np.array([0.0, 0.5, 0.0]), F=np.array([0.0, -0.25, 0.0]),
+    N=np.array([0.0, 1.0 / 3, 0.0]),
+)
+_SNAP_PARAMS = KgzParams(eps=0.5, alpha=1.0, beta=0.0, grid=Grid1D(0, 1, 2), tau=0.01, T=0.1)
+
+
+class TestCsvLayout:
+    """The exact text of each CSV writer, pinned from hand-built inputs."""
+
+    def test_rate_table(self, tmp_path):
+        table = RateTable(
+            meta={"mode": "spatial"},
+            rows=[ErrorRow(eps=1.0, h=0.2, tau=1e-4, t=1.0, e_err=1.57e-2, n_err=1.91e-2,
+                           rate_e=2.0)],
+            failures=[FailedRow(eps=0.5, h=0.2, tau=1e-4, message="StabilityError: boom")],
+        )
+        path = tmp_path / "t.csv"
+        write_table(table, str(path))
+        assert path.read_text() == (
+            "# kgz sweep table\n"
+            "# mode=spatial\n"
+            "# failed eps=5.00000E-01 h=2.00000E-01 tau=1.00000E-04 StabilityError: boom\n"
+            "eps,h,tau,t,e_err,n_err,rate_e,rate_n\n"
+            "1.00000E+00,2.00000E-01,1.00000E-04,1.00000E+00,1.57000E-02,1.91000E-02,"
+            "2.00000E+00,\n"
+            "5.00000E-01,2.00000E-01,1.00000E-04,,ERROR,ERROR,,\n"
+        )
+
+    def test_snapshot(self, tmp_path):
+        paths = write_snapshots(str(tmp_path / "s"), [_SNAP], _SNAP_PARAMS)
+        assert paths == [str(tmp_path / "s_t0.05.csv")]
+        with open(paths[0]) as fh:
+            assert fh.read() == (
+                "# kgz solve snapshot\n"
+                "# eps=0.5\n"
+                "# alpha=1\n"
+                "# beta=0\n"
+                "# domain=(0, 1)\n"
+                "# h=0.5\n"
+                "# tau=0.01\n"
+                "# t=0.050000000000000003\n"
+                "x,E,F,N\n"
+                "0.00000E+00,0.00000E+00,0.00000E+00,0.00000E+00\n"
+                "5.00000E-01,5.00000E-01,-2.50000E-01,3.33333E-01\n"
+                "1.00000E+00,0.00000E+00,0.00000E+00,0.00000E+00\n"
+            )
+
+    def test_limit_study_head(self, tmp_path):
+        path = tmp_path / "l.csv"
+        limit_study("gauss_sech", "I", (0.25, 0.125), 0.5, 0.05, T=0.25, out_path=str(path))
+        lines = path.read_text().splitlines()
+        assert lines[:10] == [
+            "# kgz limit study",
+            "# preset=gauss_sech",
+            "# case=I",
+            "# alpha=1",
+            "# beta=0",
+            "# h=0.5",
+            "# tau=0.050000000000000003",
+            "# T=0.25",
+            "# eta_slope=0.646244",
+            "eps,t,eta_2,eta_inf,eta_e",
+        ]
+        # one row per eps and time level, largest eps first
+        assert len(lines) == 10 + 2 * 6
+        assert lines[10].startswith("2.50000E-01,0.00000E+00,")
+        assert lines[16].startswith("1.25000E-01,0.00000E+00,")
 
 
 class TestRunSweep:
