@@ -6,7 +6,8 @@ and its value is read exactly as that flag's value: a list is a comma list,
 ``true`` sets a switch, ``null`` and ``false`` leave the option unset, and
 a key that names no option of the subcommand is an error. The config's
 flags go before the command line's own, so values given on the command
-line win. Exit codes: 0 success, 1 parameter problem, 2 numerical failure.
+line win. A flag must be spelled out in full; a prefix of it is an error.
+Exit codes: 0 success, 1 parameter problem, 2 numerical failure.
 """
 
 import argparse
@@ -56,7 +57,7 @@ def build_parser():
     parser = _Parser(prog="kgz", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="single run with field snapshots")
+    p = sub.add_parser("solve", help="single run with field snapshots", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--eps", type=float, help="acoustic parameter in (0, 1]")
     p.add_argument("--h", type=float, help="target mesh size")
@@ -66,7 +67,7 @@ def build_parser():
     p.add_argument("--out", help="output path prefix")
     p.add_argument("--paper-scale", action="store_true", dest="paper_scale")
 
-    p = sub.add_parser("sweep", help="convergence sweep producing a rate table")
+    p = sub.add_parser("sweep", help="convergence sweep producing a rate table", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--mode", choices=["spatial", "temporal", "eps-limit"])
     p.add_argument("--eps-list", type=_floats, dest="eps_list", help="comma-separated eps values")
@@ -77,7 +78,7 @@ def build_parser():
     p.add_argument("--paper-scale", action="store_true", dest="paper_scale")
     p.add_argument("--workers", type=int, help="parallel worker processes")
 
-    p = sub.add_parser("limit-study", help="limit-metric curves per eps")
+    p = sub.add_parser("limit-study", help="limit-metric curves per eps", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--eps-list", type=_floats, dest="eps_list", help="comma-separated eps values")
     p.add_argument("--h", type=float, help="mesh size")
@@ -85,7 +86,7 @@ def build_parser():
     p.add_argument("--out", help="output CSV path")
     p.add_argument("--workers", type=int, help="parallel worker processes")
 
-    sub.add_parser("check", help="run the property suite")
+    sub.add_parser("check", help="run the property suite", allow_abbrev=False)
     for name, defaults in _DEFAULTS.items():
         sub.choices[name].set_defaults(**defaults)
     return parser

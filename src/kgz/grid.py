@@ -5,6 +5,7 @@ last entries are zero (homogeneous Dirichlet). Operators only ever read and
 write interior values; boundary entries of returned arrays are exact zeros.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -14,6 +15,7 @@ from scipy.linalg import lapack
 from .errors import IllConditionedError, ParameterError, ShapeError, SingularSystemError
 
 RESIDUAL_TOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,16 @@ def second_difference(u, grid):
 
 def second_difference_interior(u, grid):
     """Centered second difference at the M - 1 interior nodes only."""
-    u = _require_grid_fn(u, grid)
-    return (u[2:] - 2.0 * u[1:-1] + u[:-2]) / grid.h**2
+    return _second_difference(_require_grid_fn(u, grid), grid.h**2)
+
+
+def _second_difference(u, h2):
+    """``(u[2:] - 2 u[1:-1] + u[:-2]) / h2`` in that order, in one new array; ``u`` is not checked."""
+    v = np.multiply(u[1:-1], 2.0)
+    np.subtract(u[2:], v, out=v)
+    v += u[:-2]
+    v /= h2
+    return v
 
 
 def forward_difference(u, grid):
@@ -121,7 +131,9 @@ def _diagonals(lower, diag, upper, n=None):
     Without ``n`` the order is the length of ``diag``; with it, each
     diagonal may also be a scalar repeated along it.
     """
-    lower, diag, upper = (np.asarray(v, dtype=float) for v in (lower, diag, upper))
+    lower = np.asarray(lower, dtype=float)
+    diag = np.asarray(diag, dtype=float)
+    upper = np.asarray(upper, dtype=float)
     scalars_ok = n is not None
     if n is None:
         n = diag.shape[0] if diag.ndim == 1 else 0
@@ -137,7 +149,8 @@ def _diagonals(lower, diag, upper, n=None):
 
 
 def _require_rhs(rhs, n):
-    rhs = np.asarray(rhs, dtype=float)
+    # contiguous, so that its norm sums in the order np.linalg.norm does
+    rhs = np.ascontiguousarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise ShapeError(f"rhs has length {rhs.shape}, expected {n}")
     return rhs
@@ -271,11 +284,17 @@ def solve_factored(factor, rhs):
     return _checked_solve(_solve, factor.lower, factor.diag, factor.upper, rhs)
 
 
-def _residual_vec(lower, diag, upper, x, rhs, dtype=float):
-    ax = diag.astype(dtype, copy=False) * x.astype(dtype, copy=False)
-    ax[:-1] += upper.astype(dtype, copy=False) * x[1:]
-    ax[1:] += lower.astype(dtype, copy=False) * x[:-1]
-    return rhs.astype(dtype, copy=False) - ax
+def _norm(v):
+    """``np.linalg.norm`` of a contiguous float vector, bit for bit, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def _residual(lower, diag, upper, x, rhs):
+    """``rhs - A x`` in the precision of its arguments; each diagonal may be a 0-d array."""
+    r = diag * x
+    r[:-1] += upper * x[1:]
+    r[1:] += lower * x[:-1]
+    return np.subtract(rhs, r, out=r)
 
 
 def _checked_solve(solve, lower, diag, upper, rhs):
@@ -284,24 +303,26 @@ def _checked_solve(solve, lower, diag, upper, rhs):
     The comparisons are written so that a NaN residual fails them.
     """
     n = rhs.shape[0]
-    denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
+    denom = max(_norm(rhs), _TINY)
     x = solve(rhs)
-    rnorm = float(np.linalg.norm(_residual_vec(lower, diag, upper, x, rhs)))
+    rnorm = _norm(_residual(lower, diag, upper, x, rhs))
     if not rnorm <= RESIDUAL_TOL * denom:
         # refine once with an extended-precision residual, then re-measure;
         # for stiff systems (||A|| ||x|| >> ||rhs||) no double-precision
         # vector can push the plain residual below eps_mach * ||A|| ||x||,
         # so past that representation floor the scale-aware backward-error
         # criterion is the one that decides
-        r_ext = _residual_vec(lower, diag, upper, x, rhs, dtype=np.longdouble)
+        ext = [np.asarray(v, dtype=np.longdouble) for v in (lower, diag, upper)]
+        rhs_ext = rhs.astype(np.longdouble)
+        r_ext = _residual(*ext, x.astype(np.longdouble), rhs_ext)
         x = x + solve(r_ext.astype(float))
-        r_ext = _residual_vec(lower, diag, upper, x, rhs, dtype=np.longdouble)
+        r_ext = _residual(*ext, x.astype(np.longdouble), rhs_ext)
         rnorm = float(np.sqrt(np.sum(r_ext * r_ext)))
         if not rnorm <= RESIDUAL_TOL * denom:
             row_mass = np.broadcast_to(np.abs(diag), (n,)).copy()
             row_mass[:-1] += np.abs(upper)
             row_mass[1:] += np.abs(lower)
-            backward_scale = float(np.max(row_mass)) * float(np.linalg.norm(x)) + denom
+            backward_scale = float(np.max(row_mass)) * _norm(x) + denom
             if not rnorm <= RESIDUAL_TOL * backward_scale:
                 raise IllConditionedError(
                     f"tridiagonal solve residual {rnorm / denom:.3e} exceeds "

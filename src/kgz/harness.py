@@ -8,6 +8,11 @@ a reference-independence check lives in the test suite.
 
 Every file the harness writes (rate table, limit-study curves, solve
 snapshot) has one CSV layout, written by ``_write_csv``.
+
+With ``workers > 1`` the tasks of a sweep or limit study run in a process
+pool, which is handed the largest task first (by node-steps, a reference's
+refine factors included); the results still come back in task order, so
+every table and CSV is the serial one.
 """
 
 import math
@@ -334,10 +339,24 @@ def _limit_summary(params, data):
     }
 
 
+def _task_work(task):
+    """The node-steps K (M - 1) of a task's run, a reference's refine factors applied to K and M."""
+    M = grid_for(task["eps"], task["h"]).M * task.get("refine_space", 1)
+    return task["T"] / task["tau"] * task.get("refine_time", 1) * (M - 1)
+
+
 def _run_tasks(tasks, workers):
+    """The results of ``_solve_task`` on each task, in task order.
+
+    A pool of ``workers > 1`` processes is handed the largest task first,
+    so the longest run (a sweep's finest reference) does not start last
+    and set the makespan alone.
+    """
     if workers > 1 and len(tasks) > 1:
+        order = sorted(range(len(tasks)), key=lambda i: _task_work(tasks[i]), reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_solve_task, tasks))
+            futures = {i: pool.submit(_solve_task, tasks[i]) for i in order}
+            return [futures[i].result() for i in range(len(tasks))]
     return [_solve_task(t) for t in tasks]
 
 

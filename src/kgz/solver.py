@@ -14,11 +14,17 @@ solve, and one state type, :class:`KgzState` with F None, so ``_step``,
 ``march``, owns the time loop of every driver.
 
 The field matrix depends on the current level and is solved afresh each
-step; only its constant off-diagonal is built once per grid. The density
-matrix depends only on (M, h, tau, eps), so it is LU-factored once per run
-and every step reuses the factor; on these dominant systems that repeats
-the one-shot elimination exactly, and the results are unchanged bit for
-bit.
+step. The density matrix depends only on (M, h, tau, eps), so it is
+LU-factored once per run and every step reuses the factor; on these
+dominant systems that repeats the one-shot elimination exactly, and the
+results are unchanged bit for bit. Everything else a step needs that a run
+keeps fixed (1/tau^2, h^2, 1/h^2, s = 1/(2 eps^2) and the field matrix's
+off-diagonal) is set up once per run with the factor, in a ``_Stencil``.
+A step assembles its arrays in place, in the operation order of the
+formulas written in ``_advance``, so it gives the formulas' bits. Both
+solves are held to the residual gate of :mod:`kgz.grid`: a double-precision
+residual must satisfy ``||Ax - b|| <= 1e-12 ||b||``, and only when it does
+not is the solution refined once in extended precision.
 """
 
 import functools
@@ -31,11 +37,12 @@ import numpy as np
 from .errors import KgzError, ParameterError, ShapeError, StabilityError
 from .grid import (
     Grid1D,
+    TridiagonalFactor,
+    _second_difference,
     factor_tridiagonal,
     grid_norms,
     inner_product,
     second_difference,
-    second_difference_interior,
     solve_factored,
     solve_poisson_dirichlet,
     solve_tridiagonal,
@@ -185,32 +192,57 @@ def first_state(params, data, layer):
     return KgzState(k=1, t_k=params.tau, E_prev=E0, E_curr=E1, F_prev=zeros, F_curr=F1)
 
 
-def _solve_field(E_curr, E_prev, c, params):
-    """Advance the field through its implicit tridiagonal system."""
-    grid, tau = params.grid, params.tau
-    inv_t2 = 1.0 / tau**2
-    inv_h2 = 1.0 / grid.h**2
-    margin = inv_t2 + 0.5 * c[1:-1]
+class _Stencil(NamedTuple):
+    """The constants of a run's two systems, set up once per run by :func:`_stencil`."""
+
+    tau: float
+    tau2: float
+    inv_t2: float
+    h2: float
+    inv_h2: float
+    s: float  # 1/(2 eps^2), the density coupling
+    off: np.ndarray  # the field matrix's off-diagonal
+    density: TridiagonalFactor
+
+
+@functools.lru_cache(maxsize=4)
+def _stencil(params):
+    M, h, tau, eps = params.grid.M, params.grid.h, params.tau, params.eps
+    return _Stencil(
+        tau, tau**2, 1.0 / tau**2, h**2, 1.0 / h**2, 0.5 / eps**2,
+        _field_off_diagonal(M, h), _density_factor(M, h, tau, eps),
+    )
+
+
+def _solve_field(E_curr, E_prev, c, k):
+    """Advance the field through its implicit tridiagonal system; ``k`` is the run's _Stencil."""
+    c_in, E_prev_in = c[1:-1], E_prev[1:-1]
+    margin = 0.5 * c_in
+    margin += k.inv_t2
     j = int(np.argmin(margin))
     if not margin[j] > 0.0:  # also catches NaN, which argmin reports first
         raise StabilityError(
             f"field system lost diagonal dominance at node {j + 1}: "
-            f"1/tau^2 + c/2 = {margin[j]:.3e} with c = {c[j + 1]:.3e}, tau = {tau}",
+            f"1/tau^2 + c/2 = {margin[j]:.3e} with c = {c[j + 1]:.3e}, tau = {k.tau}",
             j=j + 1,
             coefficient=float(c[j + 1]),
-            tau=tau,
+            tau=k.tau,
         )
     # a positive margin leaves diag >= inv_h2 = the off-diagonal mass of
     # every row even after rounding, so the solver's own dominance scan
     # could never fire and is skipped
-    diag = margin + inv_h2
-    off = _field_off_diagonal(grid.M, grid.h)
-    E_prev_in = E_prev[1:-1]
-    rhs = (2.0 * E_curr[1:-1] - E_prev_in) * inv_t2 + 0.5 * (
-        second_difference_interior(E_prev, grid) - c[1:-1] * E_prev_in
-    )
-    E_next = grid.zeros()
-    E_next[1:-1] = solve_tridiagonal(off, diag, off, rhs, require_dominant=False)
+    diag = margin
+    diag += k.inv_h2
+    # rhs = (2 E_curr - E_prev) (1/tau^2) + 0.5 (d2 E_prev - c E_prev)
+    coupling = _second_difference(E_prev, k.h2)
+    coupling -= c_in * E_prev_in
+    coupling *= 0.5
+    rhs = 2.0 * E_curr[1:-1]
+    rhs -= E_prev_in
+    rhs *= k.inv_t2
+    rhs += coupling
+    E_next = np.zeros(len(E_curr))
+    E_next[1:-1] = solve_tridiagonal(k.off, diag, k.off, rhs, require_dominant=False)
     return E_next
 
 
@@ -234,18 +266,18 @@ def _density_factor(M, h, tau, eps):
     return factor_tridiagonal(-s_h2, inv_t2 + 2.0 * s_h2, -s_h2, n=M - 1)
 
 
-def _solve_density(F_curr, F_prev, dt2_E2, params):
-    """Advance the corrected density through its implicit system."""
-    grid, tau = params.grid, params.tau
-    inv_t2 = 1.0 / tau**2
-    s = 0.5 / params.eps**2
-    rhs = (
-        (2.0 * F_curr[1:-1] - F_prev[1:-1]) * inv_t2
-        + s * second_difference_interior(F_prev, grid)
-        + dt2_E2[1:-1]
-    )
-    F_next = grid.zeros()
-    F_next[1:-1] = solve_factored(_density_factor(grid.M, grid.h, tau, params.eps), rhs)
+def _solve_density(F_curr, F_prev, dt2_E2, k):
+    """Advance the corrected density through its implicit system; ``k`` is the run's _Stencil."""
+    # rhs = (2 F_curr - F_prev) (1/tau^2) + s d2 F_prev + dt2_E2
+    coupling = _second_difference(F_prev, k.h2)
+    coupling *= k.s
+    rhs = 2.0 * F_curr[1:-1]
+    rhs -= F_prev[1:-1]
+    rhs *= k.inv_t2
+    rhs += coupling
+    rhs += dt2_E2[1:-1]
+    F_next = np.zeros(len(F_curr))
+    F_next[1:-1] = solve_factored(k.density, rhs)
     return F_next
 
 
@@ -257,19 +289,38 @@ def _advance(E_mid, E_out, F_mid, F_out, potential, params):
     limit model is this stencil with F = 0: ``F_mid = None`` drops F from
     the field coefficient and skips the density solve (F comes back None).
     Plain Klein-Gordon also passes ``potential = None``.
+
+    With m the mid level, o the outer one and d2 the centered second
+    difference, each line evaluated left to right as written:
+
+    - ``c = 1 - E_m^2 + F_m + potential``;
+    - field: diagonal ``1/tau^2 + 0.5 c + 1/h^2``, off-diagonal
+      ``-0.5 (1/h^2)``, right-hand side
+      ``(2 E_m - E_o) (1/tau^2) + 0.5 (d2 E_o - c E_o)``;
+    - ``dt2_E2 = (E_new^2 - 2 E_m^2 + E_o^2) / tau^2``;
+    - density: right-hand side
+      ``(2 F_m - F_o) (1/tau^2) + s d2 F_o + dt2_E2``.
+
+    Each array is assembled in place in that order, so the bits are those
+    of the formulas themselves.
     """
-    tau = params.tau
-    Ek2 = E_mid**2
+    k = _stencil(params)
+    Ek2 = np.square(E_mid)
     c = 1.0 - Ek2
     if F_mid is not None:
-        c = c + F_mid
+        c += F_mid
     if potential is not None:
-        c = c + potential
-    E_new = _solve_field(E_mid, E_out, c, params)
+        c += potential
+    E_new = _solve_field(E_mid, E_out, c, k)
     if F_mid is None:
         return E_new, None
-    dt2_E2 = (E_new**2 - 2.0 * Ek2 + E_out**2) / tau**2
-    return E_new, _solve_density(F_mid, F_out, dt2_E2, params)
+    # dt2_E2 = (E_new^2 - 2 E_mid^2 + E_out^2) / tau^2; c is spent
+    dt2_E2 = np.square(E_new)
+    Ek2 *= 2.0
+    dt2_E2 -= Ek2
+    dt2_E2 += np.square(E_out, out=c)
+    dt2_E2 /= k.tau2
+    return E_new, _solve_density(F_mid, F_out, dt2_E2, k)
 
 
 def step(state, params, layer):

@@ -272,6 +272,26 @@ class TestOutDirectory:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestExactFlags:
+    """A command-line flag must be spelled out: no prefix of it selects an option."""
+
+    @pytest.mark.parametrize(
+        "command, runner",
+        [
+            (["sweep", "--tau", "0.01"], "run_sweep"),
+            (["limit-study", "--eps", "0.5"], "limit_study"),
+        ],
+        ids=["sweep-tau", "limit-study-eps"],
+    )
+    def test_unknown_flag_exits_1(self, tmp_path, monkeypatch, capsys, command, runner):
+        monkeypatch.setattr(kgz.cli, runner, _fail_if_called)
+        code = main([*command, "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "parameter error" in err and command[1] in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigFlags:
     def run_config(self, tmp_path, command, config, *flags):
         cfg = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kgz.grid
 from kgz import (
     Grid1D,
     IllConditionedError,
@@ -252,6 +253,41 @@ def residual(lower, diag, upper, x, rhs):
     res[:-1] += upper * x[1:]
     res[1:] += lower * x[:-1]
     return np.linalg.norm(res - rhs)
+
+
+def residual_formula(lower, diag, upper, x, rhs, dtype=float):
+    """The residual the solve gate measures, each operand converted to dtype first."""
+    ax = diag.astype(dtype, copy=False) * x.astype(dtype, copy=False)
+    ax[:-1] += upper.astype(dtype, copy=False) * x[1:]
+    ax[1:] += lower.astype(dtype, copy=False) * x[:-1]
+    return rhs.astype(dtype, copy=False) - ax
+
+
+class TestResidualGate:
+    """The gate's residual and norms repeat the written formulas bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["field", "density"])
+    @pytest.mark.parametrize("dtype", [float, np.longdouble])
+    def test_residual_matches_formula(self, rng, kind, dtype):
+        n = 679
+        x, rhs = rng.standard_normal(n), rng.standard_normal(n)
+        if kind == "field":  # constant off-diagonal arrays, a diagonal that varies
+            off = np.full(n - 1, -0.5 * 400.0)
+            system = (off, 2500.0 + 400.0 + rng.random(n), off)
+        else:  # the 0-d diagonals of a factored Toeplitz matrix
+            f = factor_tridiagonal(-1.25e3, 2500.0 + 2.5e3, -1.25e3, n=n)
+            system = (f.lower, f.diag, f.upper)
+        want = residual_formula(*system, x, rhs, dtype)
+        ext = [np.asarray(v, dtype=dtype) for v in (*system, x, rhs)]
+        got = kgz.grid._residual(*ext)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 679, 29439])
+    def test_norm_matches_numpy(self, rng, n):
+        for scale in (1e-300, 1.0, 1e300):
+            v = scale * rng.standard_normal(n)
+            with np.errstate(over="ignore"):
+                assert kgz.grid._norm(v) == float(np.linalg.norm(v))
 
 
 class TestFactoredTridiagonal:

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -461,3 +462,73 @@ class TestLimitTaskFailure:
         assert table.rows == []
         assert [f.eps for f in table.failures] == [0.5]
         assert where in table.failures[0].message
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stand in for the process pool: run each task when it is submitted, and record it."""
+    submitted = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            submitted.append((fn, task))
+            future = Future()
+            future.set_result(fn(task))
+            return future
+
+    monkeypatch.setattr(kgz.harness, "ProcessPoolExecutor", Pool)
+    return submitted
+
+
+class TestPoolOrder:
+    """With workers > 1 the pool gets the largest task first; results stay in task order."""
+
+    def test_largest_work_first_results_in_task_order(self, recording_pool, monkeypatch):
+        def by_id(task):
+            return {"ok": True, "id": task["id"]}
+
+        # read from the module at submit time, as a wrapped entry point must be
+        monkeypatch.setattr(kgz.harness, "_solve_task", by_id)
+        base = {"preset": "gauss_sech", "alpha": 1.0, "beta": 0.0, "eps": 1.0, "T": 0.1}
+        # eps = 1 spans (-31, 31): h = 0.5 is M = 124, h = 0.25 is M = 248
+        tasks = [
+            dict(base, id=0, kind="final", h=0.5, tau=0.05),  # 2 steps x 123 nodes
+            dict(base, id=1, kind="final", h=0.5, tau=0.025),  # 4 x 123
+            dict(base, id=2, kind="reference", h=0.5, tau=0.025, refine_space=1,
+                 refine_time=4),  # 16 x 123
+            dict(base, id=3, kind="final", h=0.25, tau=0.05),  # 2 x 247
+            dict(base, id=4, kind="reference", h=0.5, tau=0.05, refine_space=2,
+                 refine_time=1),  # 2 x 247, a tie kept in task order
+        ]
+        results = kgz.harness._run_tasks(tasks, 2)
+        assert [task["id"] for _, task in recording_pool] == [2, 3, 4, 1, 0]
+        assert all(fn is by_id for fn, _ in recording_pool)
+        assert [r["id"] for r in results] == [0, 1, 2, 3, 4]
+
+    def test_failed_task_keeps_its_index(self, recording_pool, monkeypatch):
+        monkeypatch.setitem(presets._PRESETS, "blow_up", _limit_blow_up)
+        base = {"preset": "gauss_sech", "alpha": 1.0, "beta": 0.0, "eps": 0.5, "T": 0.1}
+        (failing,) = _limit_tasks("blow_up", 1.0, 0.0, (0.5,), 0.25, 0.25, 2.0)
+        tasks = [
+            dict(base, kind="final", h=0.5, tau=0.05),
+            failing,  # 8 steps x 255 nodes, fails in the step from k = 5
+            dict(base, kind="final", h=0.25, tau=0.01),  # 10 x 255, the largest
+        ]
+        results = kgz.harness._run_tasks(tasks, 2)
+        assert [task for _, task in recording_pool] == [tasks[2], tasks[1], tasks[0]]
+        assert [r["ok"] for r in results] == [True, False, True]
+        assert "k=5, t=1.25" in results[1]["message"]
+        serial = kgz.harness._run_tasks(tasks, 1)
+        for got, want in zip(results, serial):
+            assert got.keys() == want.keys()
+            for key in got:
+                assert np.array_equal(got[key], want[key])

@@ -13,20 +13,27 @@ from kgz import (
     ShapeError,
     StabilityError,
     build_layer,
+    case_exponents,
     density_at,
     energy,
+    factor_tridiagonal,
     first_state,
+    first_state_kg,
     grid_norms,
     nondimensionalize,
     recover_density,
     run,
     second_difference,
+    solve_factored,
+    solve_tridiagonal,
     step,
     step_back,
+    step_kg,
     trajectory,
 )
+from kgz.grid import second_difference_interior
 from kgz.presets import preset_initial_data
-from kgz.solver import _density_factor, _field_off_diagonal
+from kgz.solver import _density_factor, _field_off_diagonal, _stencil, _step
 from conftest import random_grid_fn
 
 
@@ -186,7 +193,61 @@ class TestFirstState:
             assert f"{name}={value}" in str(excinfo.value)
 
 
+def formula_step(state, params, layer):
+    """(E, F) of one forward step, written out from the public operators.
+
+    Each expression is evaluated in the order the solver documents, so the
+    result must equal ``step`` bit for bit; F is None in the limit model.
+    """
+    grid, tau = params.grid, params.tau
+    inv_t2 = 1.0 / tau**2
+    E, E_prev, F, F_prev = state.E_curr, state.E_prev, state.F_curr, state.F_prev
+    c = 1.0 - E**2
+    if F is not None:
+        c = c + F
+    c = c + layer.averaged_wave(state.t_k, tau)
+    diag = inv_t2 + 0.5 * c[1:-1] + 1.0 / grid.h**2
+    off = np.full(grid.M - 2, -0.5 * (1.0 / grid.h**2))
+    rhs = (2.0 * E[1:-1] - E_prev[1:-1]) * inv_t2 + 0.5 * (
+        second_difference_interior(E_prev, grid) - c[1:-1] * E_prev[1:-1]
+    )
+    E_next = grid.zeros()
+    E_next[1:-1] = solve_tridiagonal(off, diag, off, rhs, require_dominant=False)
+    if F is None:
+        return E_next, None
+    s = 0.5 / params.eps**2
+    dt2_E2 = (E_next**2 - 2.0 * E**2 + E_prev**2) / tau**2
+    rhs = (
+        (2.0 * F[1:-1] - F_prev[1:-1]) * inv_t2
+        + s * second_difference_interior(F_prev, grid)
+        + dt2_E2[1:-1]
+    )
+    s_h2 = s / grid.h**2
+    factor = factor_tridiagonal(-s_h2, inv_t2 + 2.0 * s_h2, -s_h2, n=grid.M - 1)
+    F_next = grid.zeros()
+    F_next[1:-1] = solve_factored(factor, rhs)
+    return E_next, F_next
+
+
 class TestStep:
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_matches_the_written_formulas_bit_for_bit(self, case):
+        alpha, beta = case_exponents(case)
+        params = toy_params(eps=0.25, M=64, tau=0.02, alpha=alpha, beta=beta)
+        data = preset_initial_data("gauss_sech")
+        layer = build_layer(params, data)
+        coupled = first_state(params, data, layer)
+        limit = first_state_kg(params, data, layer)
+        for _ in range(6):
+            coupled = step(coupled, params, layer)
+            limit = step_kg(limit, params, layer)
+        E, F = formula_step(coupled, params, layer)
+        got = step(coupled, params, layer)
+        assert np.array_equal(got.E_curr, E) and np.array_equal(got.F_curr, F)
+        E, F = formula_step(limit, params, layer)
+        got = _step(limit, params, layer.averaged_wave(limit.t_k, params.tau))
+        assert np.array_equal(got.E_curr, E) and F is None and got.F_curr is None
+
     def test_zero_fixed_point(self):
         params = toy_params()
         layer = build_layer(params, ZERO_DATA)
@@ -396,8 +457,9 @@ class TestRun:
         "change", [{"tau": 0.02}, {"eps": 0.125}, {"grid": Grid1D(-8.0, 8.0, 48)}]
     )
     def test_interleaved_runs_match_solo_runs(self, change):
-        # the density factor and the field off-diagonal are cached across
-        # steps; two runs that differ in either must never share one
+        # the density factor, the field off-diagonal and the run constants
+        # holding them are cached across steps; two runs that differ in
+        # any of them must never share one
         data = preset_initial_data("gauss_sech")
         base = toy_params(eps=0.25, M=48, tau=0.01)
         runs = [base, replace(base, **change)]
@@ -410,12 +472,14 @@ class TestRun:
         for i in range(2):
             _density_factor.cache_clear()
             _field_off_diagonal.cache_clear()
+            _stencil.cache_clear()
             state = start(i)
             for _ in range(20):
                 state = step(state, runs[i], layers[i])
             solo.append(state)
         _density_factor.cache_clear()
         _field_off_diagonal.cache_clear()
+        _stencil.cache_clear()
         states = [start(0), start(1)]
         for _ in range(20):
             states = [step(states[i], runs[i], layers[i]) for i in range(2)]
