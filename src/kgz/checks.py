@@ -146,6 +146,25 @@ def check_averaged_wave(seed=3):
     return _result("averaged_wave_quadrature", worst, 1e-9)
 
 
+def check_potential_blocks(n_steps=1500):
+    """The streamed potentials of a forward march against ``averaged_wave``, bit for bit.
+
+    At M = 48 a block holds 697 steps, so 1500 steps span three blocks
+    and end in a partial one. Step k takes its potential at t_k = k tau.
+    """
+    params, _, layer = _toy_setup(tau=1.0 / n_steps)
+    tau = params.tau
+    differ = [
+        k
+        for k, potential in zip(range(1, n_steps + 1), layer._potentials(1, n_steps + 1, tau))
+        if not np.array_equal(potential, layer.averaged_wave(k * tau, tau))
+    ]
+    if differ:
+        detail = f"{len(differ)} steps differ, the first at k={differ[0]}"
+        return CheckResult("potential_blocks", False, detail)
+    return CheckResult("potential_blocks", True, f"bit for bit over {n_steps} steps")
+
+
 def _toy_setup(eps=0.5, M=48, tau=0.01):
     grid = Grid1D(-6.0, 6.0, M)
     data = preset_initial_data("gauss_sech")
@@ -332,6 +351,7 @@ ALL_CHECKS = (
     check_dst_round_trip,
     check_dst_parseval,
     check_averaged_wave,
+    check_potential_blocks,
     check_reversibility_coupled,
     check_reversibility_limit,
     check_limit_lockstep,

@@ -97,14 +97,27 @@ def grid_norms(u, grid):
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1] != grid.M + 1:
         raise ShapeError(f"grid function(s) of shape {u.shape}, grid wants rows of {grid.M + 1}")
-    l2 = np.sqrt(grid.h * np.sum(u[..., 1:-1] ** 2, axis=-1))
+    norms = (_l2(u, grid), _h1(u, grid), _inf(u, grid))
+    if u.ndim == 1:
+        return GridNorms(*map(float, norms))
+    return GridNorms(*norms)
+
+
+def _l2(u, grid):
+    """The ``l2`` of :func:`grid_norms`, row by row for a stack; ``u`` is not checked."""
+    return np.sqrt(grid.h * np.sum(u[..., 1:-1] ** 2, axis=-1))
+
+
+def _h1(u, grid):
+    """The ``h1_semi`` of :func:`grid_norms`, row by row for a stack; ``u`` is not checked."""
     # one expression, so that numpy reuses its temporary for the division
     # and the square: a stack then costs one extra array of its size
-    h1 = np.sqrt(grid.h * np.sum(((u[..., 1:] - u[..., :-1]) / grid.h) ** 2, axis=-1))
-    inf = np.max(np.abs(u), axis=-1)
-    if u.ndim == 1:
-        return GridNorms(float(l2), float(h1), float(inf))
-    return GridNorms(l2, h1, inf)
+    return np.sqrt(grid.h * np.sum(((u[..., 1:] - u[..., :-1]) / grid.h) ** 2, axis=-1))
+
+
+def _inf(u, grid):
+    """The ``inf`` of :func:`grid_norms`, row by row for a stack; ``u`` is not checked."""
+    return np.max(np.abs(u), axis=-1)
 
 
 def inner_product(u, v, grid):
@@ -200,8 +213,19 @@ def solve_tridiagonal(lower, diag, upper, rhs, require_dominant=True):
                 "to attempt the solve anyway"
             )
 
+    return _solve_tridiagonal(lower, diag, upper, rhs)
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """:func:`solve_tridiagonal` of arrays that are already valid, with no dominance scan.
+
+    The diagonals are float arrays of lengths n - 1, n and n - 1, and
+    ``rhs`` is a contiguous float array of length n. The residual check
+    and its refinement still hold the result.
+    """
+
     def _solve(b):
-        if n == 1:
+        if len(b) == 1:
             if diag[0] == 0.0:
                 raise SingularSystemError("zero pivot at row 0")
             return b / diag
@@ -269,8 +293,12 @@ def solve_factored(factor, rhs):
 
     Carries the residual guarantee of :func:`solve_tridiagonal`.
     """
+    return _solve_factored(factor, _require_rhs(rhs, factor.n))
+
+
+def _solve_factored(factor, rhs):
+    """:func:`solve_factored` of a contiguous float ``rhs`` of length ``factor.n``, not re-validated."""
     n = factor.n
-    rhs = _require_rhs(rhs, n)
     pad = factor.lu[1].shape[0] - n
 
     def _solve(b):

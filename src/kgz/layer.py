@@ -16,6 +16,10 @@ from .errors import ParameterError
 from .grid import Grid1D
 from .transforms import dst_forward, dst_inverse
 
+# nodes per block of streamed potentials: 52 rows at M = 620, and one row
+# from M = 16386 on, so a large run holds no more scratch than one row
+_BLOCK_NODES = 2**15
+
 
 def decay_order(alpha, beta):
     """Effective decay order of the layer, min(alpha, 1 + beta)."""
@@ -87,12 +91,41 @@ class InitialLayer:
         Exact per mode: averaging cos/sin(theta*s) against (1 - |s|/tau)
         multiplies the amplitude by 4 sin^2(theta tau / 2) / (theta tau)^2.
         """
+        rows = np.empty((2, 1, self.grid.M - 1))
+        return self._averaged_block(np.array([t]), tau, *rows)[0]
+
+    def _averaged_block(self, times, tau, phase, modes):
+        """``averaged_wave`` at each of ``times``, one row each, from one DST call.
+
+        ``phase`` and ``modes`` are scratch of shape (len(times), M - 1).
+        Each element goes through the products and sums of
+        ``weight * (amp0 cos(theta t) + amp1 sin(theta t))`` whatever the
+        number of rows, so a row has the bits of ``averaged_wave`` at its time.
+        """
         if tau <= 0:
             raise ParameterError(f"tau must be positive, got {tau}")
-        weight = self._average_weights(tau)
-        phase = self.theta * t
-        modes = weight * (self.amp0 * np.cos(phase) + self.amp1 * np.sin(phase))
+        np.multiply(times[:, None], self.theta, out=phase)
+        np.cos(phase, out=modes)
+        modes *= self.amp0
+        np.sin(phase, out=phase)
+        phase *= self.amp1
+        modes += phase
+        modes *= self._average_weights(tau)
         return dst_inverse(modes, self.grid)
+
+    def _potentials(self, k_first, k_stop, tau):
+        """Yield ``averaged_wave(k tau, tau)`` for k = k_first .. k_stop - 1, in order.
+
+        The potentials depend on t_k alone, never on the solution, so a
+        forward march takes them from here, computed ``_BLOCK_NODES // (M - 1)``
+        rows (at least one) at a time into scratch reused across blocks.
+        """
+        n = self.grid.M - 1
+        rows = max(1, _BLOCK_NODES // n)
+        phase, modes = np.empty((2, rows, n))
+        for k0 in range(k_first, k_stop, rows):
+            ks = np.arange(k0, min(k0 + rows, k_stop))
+            yield from self._averaged_block(ks * tau, tau, phase[: len(ks)], modes[: len(ks)])
 
     def _average_weights(self, tau):
         # one run evaluates this every step with the same tau

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError
-from .grid import GridNorms, grid_norms, inner_product
+from .grid import GridNorms, _h1, _inf, _l2, grid_norms, inner_product
 from .solver import KgzState, Trajectory, _record, _step, _step_back, _taylor_start
 from .solver import build_layer, first_state, march
 from .solver import _solve_field  # noqa: F401  perfbench/tracer.py wraps this name here
@@ -69,7 +69,7 @@ def step_kg_back(state, params, layer, use_potential=True):
 def trajectory_kg(params, data, layer, use_potential=True):
     """Every time level of the limit model to T, as a Trajectory with F None."""
     state = first_state_kg(params, data, layer, use_potential)
-    return _record(state, lambda s: step_kg(s, params, layer, use_potential), params)
+    return _record(state, params, layer if use_potential else None)
 
 
 def _centered(F, tau):
@@ -114,9 +114,14 @@ class LimitMetrics:
 
 
 def _put(curves, k0, stack, grid):
-    """Write the norms of a stack of levels k0, k0 + 1, ... into the GridNorms of curves."""
-    for curve, values in zip(curves, grid_norms(stack, grid)):
-        curve[k0 : k0 + len(values)] = values
+    """Write the norms of a stack of levels k0, k0 + 1, ... into the GridNorms of curves.
+
+    A norm whose curve is None is not read, and is not computed.
+    """
+    for curve, norm in zip(curves, (_l2, _h1, _inf)):
+        if curve is not None:
+            values = norm(stack, grid)
+            curve[k0 : k0 + len(values)] = values
 
 
 class _LimitReducer:
@@ -138,10 +143,12 @@ class _LimitReducer:
         self.rows = 2  # rows 0 and 1 hold the two levels before the block
         self.n = 0
         self.first, self.last = [], deque(maxlen=4)
-        # norms per level of F, its two time differences, and E - E_kg
-        self.nF, self.ndF, self.nddF, self.ndiff = (
-            GridNorms(*(np.empty(K + 1) for _ in range(3))) for _ in range(4)
+        # the norms per level that finish reads: l2 and inf of F and its
+        # two time differences, l2 and h1 of E - E_kg
+        self.nF, self.ndF, self.nddF = (
+            GridNorms(np.empty(K + 1), None, np.empty(K + 1)) for _ in range(3)
         )
+        self.ndiff = GridNorms(np.empty(K + 1), np.empty(K + 1), None)
 
     def push(self, F, E, E_kg):
         """Take the next level: the coupled F and E, and the limit model's E."""
@@ -224,7 +231,7 @@ class _Lockstep(NamedTuple):
 def _lockstep_metrics(params, data):
     """The LimitMetrics of one eps, with both models marched in lockstep from one layer.
 
-    Each step evaluates the averaged potential once for both models. A
+    Each step takes one streamed averaged potential for both models. A
     KgzError of either model leaves through ``march`` with its ``k`` and ``t``.
     """
     K, tau = params.n_steps(), params.tau
@@ -232,9 +239,10 @@ def _lockstep_metrics(params, data):
     state = _Lockstep(1, tau, first_state(params, data, layer), first_state_kg(params, data, layer))
     reducer = _LimitReducer(np.arange(K + 1) * tau, params.grid, tau, params.eps)
     reducer.push(state.coupled.F_prev, state.coupled.E_prev, state.limit.E_prev)
+    potentials = layer._potentials(1, K, tau)
 
     def advance(s):
-        potential = layer.averaged_wave(s.t_k, tau)
+        potential = next(potentials)
         coupled = _step(s.coupled, params, potential)
         return _Lockstep(coupled.k, coupled.t_k, coupled, _step(s.limit, params, potential))
 

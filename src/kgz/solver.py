@@ -11,7 +11,10 @@ The scheme is one symmetric three-level stencil, written once in
 model of :mod:`kgz.limits` is the same stencil with F = 0 and no density
 solve, and one state type, :class:`KgzState` with F None, so ``_step``,
 ``_step_back`` and ``_record`` serve both models. One generator,
-``march``, owns the time loop of every driver.
+``march``, owns the time loop of every driver. The averaged potential
+depends on the time alone, so the forward drivers take it from the
+layer's stream, which evaluates it a block of steps at a time, and call
+``_step``; ``step`` evaluates it for one step, with the same bits.
 
 The field matrix depends on the current level and is solved afresh each
 step. The density matrix depends only on (M, h, tau, eps), so it is
@@ -30,6 +33,7 @@ not is the solution refined once in extended precision.
 import functools
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,14 +43,15 @@ from .grid import (
     Grid1D,
     TridiagonalFactor,
     _second_difference,
+    _solve_factored,
+    _solve_tridiagonal,
     factor_tridiagonal,
     grid_norms,
     inner_product,
     second_difference,
-    solve_factored,
     solve_poisson_dirichlet,
-    solve_tridiagonal,
 )
+from .grid import solve_tridiagonal  # noqa: F401  perfbench/tracer.py wraps this name here
 from .layer import InitialLayer, decay_order
 
 # relative slack when testing whether a time is a whole number of steps;
@@ -230,7 +235,8 @@ def _solve_field(E_curr, E_prev, c, k):
         )
     # a positive margin leaves diag >= inv_h2 = the off-diagonal mass of
     # every row even after rounding, so the solver's own dominance scan
-    # could never fire and is skipped
+    # could never fire and is skipped; the arrays are built here with the
+    # right shapes, so they go to the residual-checked solve unvalidated
     diag = margin
     diag += k.inv_h2
     # rhs = (2 E_curr - E_prev) (1/tau^2) + 0.5 (d2 E_prev - c E_prev)
@@ -242,7 +248,7 @@ def _solve_field(E_curr, E_prev, c, k):
     rhs *= k.inv_t2
     rhs += coupling
     E_next = np.zeros(len(E_curr))
-    E_next[1:-1] = solve_tridiagonal(k.off, diag, k.off, rhs, require_dominant=False)
+    E_next[1:-1] = _solve_tridiagonal(k.off, diag, k.off, rhs)
     return E_next
 
 
@@ -277,7 +283,7 @@ def _solve_density(F_curr, F_prev, dt2_E2, k):
     rhs += coupling
     rhs += dt2_E2[1:-1]
     F_next = np.zeros(len(F_curr))
-    F_next[1:-1] = solve_factored(k.density, rhs)
+    F_next[1:-1] = _solve_factored(k.density, rhs)
     return F_next
 
 
@@ -408,7 +414,7 @@ def run(params, data, snapshot_times=None):
     layer = build_layer(params, data)
     state = first_state(params, data, layer)
     levels = {0: (state.E_prev, state.F_prev)} if 0 in idx else {}
-    for state in march(state, lambda s: step(s, params, layer), K - 1):
+    for state in _march_forward(state, params, layer):
         if state.k in idx:
             levels[state.k] = (state.E_curr, state.F_curr)
     snaps = []
@@ -421,18 +427,28 @@ def run(params, data, snapshot_times=None):
 def trajectory(params, data):
     """Run to T recording every time level (for limit diagnostics)."""
     layer = build_layer(params, data)
-    return _record(first_state(params, data, layer), lambda s: step(s, params, layer), params)
+    return _record(first_state(params, data, layer), params, layer)
 
 
-def _record(state, advance, params):
-    """March a k = 1 state to T and store every level; F only when the state carries it."""
+def _march_forward(state, params, layer):
+    """``march`` a k = 1 state to T by ``_step``, the potentials streamed from ``layer``.
+
+    ``layer`` None steps without a potential (plain Klein-Gordon).
+    """
+    K = params.n_steps()
+    potentials = repeat(None) if layer is None else layer._potentials(1, K, params.tau)
+    return march(state, lambda s: _step(s, params, next(potentials)), K - 1)
+
+
+def _record(state, params, layer):
+    """``_march_forward`` storing every level; F only when the state carries it."""
     K = params.n_steps()
     E = np.empty((K + 1, params.grid.M + 1))
     F = None if state.F_curr is None else np.empty_like(E)
     E[0] = state.E_prev
     if F is not None:
         F[0] = state.F_prev
-    for state in march(state, advance, K - 1):
+    for state in _march_forward(state, params, layer):
         E[state.k] = state.E_curr
         if F is not None:
             F[state.k] = state.F_curr

@@ -21,9 +21,9 @@ def _sine_matrix(M):
 
 def _require_spectrum(coeffs, grid):
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (grid.M - 1,):
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != grid.M - 1:
         raise ShapeError(
-            f"spectrum has length {coeffs.shape}, grid wants {grid.M - 1}"
+            f"spectrum (or stack) of shape {coeffs.shape}, grid wants rows of {grid.M - 1}"
         )
     return coeffs
 
@@ -39,13 +39,18 @@ def dst_forward(u, grid, method="fast"):
 
 
 def dst_inverse(coeffs, grid, method="fast"):
-    """Grid function synthesized from sine coefficients; boundary zeros."""
+    """Grid function synthesized from sine coefficients; boundary zeros.
+
+    ``coeffs`` may also be a stack of spectra, one per row; the grid
+    functions then come back as the rows of one array, those of the row by
+    row calls (bit for bit on the fast path).
+    """
     coeffs = _require_spectrum(coeffs, grid)
-    u = grid.zeros()
+    u = np.zeros(coeffs.shape[:-1] + (grid.M + 1,))
     if method == "naive":
-        u[1:-1] = _sine_matrix(grid.M) @ coeffs
+        u[..., 1:-1] = (_sine_matrix(grid.M) @ coeffs.T).T
     elif method == "fast":
-        u[1:-1] = _scipy_dst(coeffs, type=1) / 2.0
+        np.divide(_scipy_dst(coeffs, type=1, axis=-1), 2.0, out=u[..., 1:-1])
     else:
         raise ValueError(f"unknown method {method!r}")
     return u

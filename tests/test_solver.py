@@ -12,6 +12,7 @@ from kgz import (
     ParameterError,
     ShapeError,
     StabilityError,
+    Trajectory,
     build_layer,
     case_exponents,
     density_at,
@@ -20,6 +21,7 @@ from kgz import (
     first_state,
     first_state_kg,
     grid_norms,
+    limit_metrics,
     nondimensionalize,
     recover_density,
     run,
@@ -30,10 +32,13 @@ from kgz import (
     step_back,
     step_kg,
     trajectory,
+    trajectory_kg,
 )
+import kgz.layer
 from kgz.grid import second_difference_interior
+from kgz.limits import _lockstep_metrics
 from kgz.presets import preset_initial_data
-from kgz.solver import _density_factor, _field_off_diagonal, _stencil, _step
+from kgz.solver import _density_factor, _field_off_diagonal, _stencil, _step, march
 from conftest import random_grid_fn
 
 
@@ -565,3 +570,65 @@ class TestScaling:
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             nondimensionalize(v0=0.0, omega_p=1.0, c_s=1.0, n0=1.0, eps0=1.0, m=1.0, N0=1.0)
+
+
+def stepwise_levels(params, data, limit=False, use_potential=True):
+    """Every level of a march by the public one-step functions, each evaluating its own potential."""
+    layer = build_layer(params, data)
+    if limit:
+        state = first_state_kg(params, data, layer, use_potential)
+    else:
+        state = first_state(params, data, layer)
+
+    def advance(s):
+        return step_kg(s, params, layer, use_potential) if limit else step(s, params, layer)
+
+    states = list(march(state, advance, params.n_steps() - 1))
+    E = np.array([states[0].E_prev] + [s.E_curr for s in states])
+    F = None if limit else np.array([states[0].F_prev] + [s.F_curr for s in states])
+    return layer, Trajectory(eps=params.eps, times=np.arange(len(E)) * params.tau, E=E, F=F)
+
+
+class TestStreamedPotentials:
+    """The forward drivers take their potentials a block at a time; a march step by step is the reference.
+
+    The block budget is patched down to 1, 3 and 4 rows at M = 48 (47
+    interior nodes), so blocks of one row occur and the last block of
+    K - 1 = 10 potentials is partial; K = 1 takes no potential at all.
+    """
+
+    @pytest.fixture(params=[5, 3 * 47, 4 * 47], ids=["1-row", "3-rows", "4-rows"])
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(kgz.layer, "_BLOCK_NODES", request.param)
+
+    @pytest.mark.parametrize("K", [1, 2, 11])
+    def test_run_and_trajectory(self, budget, K):
+        params = toy_params(M=48, T=0.01 * K)
+        data = preset_initial_data("gauss_sech")
+        layer, ref = stepwise_levels(params, data)
+        (snap,) = run(params, data)
+        N = density_at(ref.E[-1], ref.F[-1], params.T, layer)
+        assert np.array_equal(snap.E, ref.E[-1]) and np.array_equal(snap.F, ref.F[-1])
+        assert np.array_equal(snap.N, N)
+        got = trajectory(params, data)
+        assert np.array_equal(got.E, ref.E) and np.array_equal(got.F, ref.F)
+
+    @pytest.mark.parametrize("K", [1, 2, 11])
+    @pytest.mark.parametrize("use_potential", [True, False])
+    def test_trajectory_kg(self, budget, K, use_potential):
+        params = toy_params(M=48, T=0.01 * K)
+        data = preset_initial_data("gauss_sech")
+        layer, ref = stepwise_levels(params, data, limit=True, use_potential=use_potential)
+        got = trajectory_kg(params, data, layer, use_potential)
+        assert np.array_equal(got.E, ref.E) and got.F is None
+
+    @pytest.mark.parametrize("K", [3, 11])
+    def test_lockstep_metrics(self, budget, K):
+        params = toy_params(M=48, T=0.01 * K)
+        data = preset_initial_data("gauss_sech")
+        _, coupled = stepwise_levels(params, data)
+        _, limit = stepwise_levels(params, data, limit=True)
+        want = limit_metrics(coupled, limit, params.grid, params.tau)
+        got = _lockstep_metrics(params, data)
+        for name in ("times", "eta_2", "eta_inf", "eta_e", "f_l2"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgz import Grid1D, ShapeError, dst_forward, dst_inverse
 from conftest import random_grid_fn
@@ -115,3 +117,27 @@ class TestPairProperties:
             dst_forward(np.zeros(4), g)
         with pytest.raises(ShapeError):
             dst_inverse(np.zeros(8), g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(n=1, rows=3, seed=0)
+@example(n=2, rows=3, seed=0)
+@example(n=2, rows=1, seed=1)
+def test_inverse_of_a_stack_is_the_row_by_row_inverse(n, rows, seed):
+    g = Grid1D(0.0, 1.0, n + 1)
+    stack = np.random.default_rng(seed).standard_normal((rows, n))
+    fast = dst_inverse(stack, g, "fast")
+    assert fast.shape == (rows, n + 2)
+    assert np.array_equal(fast, [dst_inverse(c, g, "fast") for c in stack])
+    naive = dst_inverse(stack, g, "naive")
+    by_row = np.array([dst_inverse(c, g, "naive") for c in stack])
+    assert np.all(naive[:, [0, -1]] == 0.0)
+    assert np.max(np.abs(naive - by_row)) <= 1e-12 * max(np.max(np.abs(by_row)), 1e-30)
+
+
+def test_inverse_rejects_a_stack_of_the_wrong_rows():
+    g = Grid1D(0.0, 1.0, 8)
+    for shape in ((3, 8), (2, 3, 7)):
+        with pytest.raises(ShapeError):
+            dst_inverse(np.zeros(shape), g)
