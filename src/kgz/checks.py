@@ -6,6 +6,7 @@ trajectories, or an exact algebraic identity. All of them run on
 desk-scale grids in well under a minute.
 """
 
+import multiprocessing
 from collections import deque
 from typing import NamedTuple
 
@@ -163,6 +164,28 @@ def check_potential_blocks(n_steps=1500):
         detail = f"{len(differ)} steps differ, the first at k={differ[0]}"
         return CheckResult("potential_blocks", False, detail)
     return CheckResult("potential_blocks", True, f"bit for bit over {n_steps} steps")
+
+
+def check_potential_producer(n_steps=10):
+    """The producer process's stream of potentials against the in-process stream, bit for bit.
+
+    At M = 16386 every block is one row, so the producer may serve the
+    stream; 10 rows wrap its 3-slot ring three times.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return CheckResult("potential_producer", True, "no fork start method: streams run in process")
+    params, _, layer = _toy_setup(M=16386, tau=1.0 / n_steps)
+    tau = params.tau
+    # read whole before comparing: a row must not change when its slot is reused
+    produced = list(layer._produced(1, n_steps + 1, tau))
+    here = layer._computed(1, n_steps + 1, tau, 1)
+    differ = [
+        k for k, a, b in zip(range(1, n_steps + 1), produced, here) if not np.array_equal(a, b)
+    ]
+    if differ:
+        detail = f"{len(differ)} rows differ, the first at k={differ[0]}"
+        return CheckResult("potential_producer", False, detail)
+    return CheckResult("potential_producer", True, f"bit for bit over {n_steps} rows")
 
 
 def _toy_setup(eps=0.5, M=48, tau=0.01):
@@ -352,6 +375,7 @@ ALL_CHECKS = (
     check_dst_parseval,
     check_averaged_wave,
     check_potential_blocks,
+    check_potential_producer,
     check_reversibility_coupled,
     check_reversibility_limit,
     check_limit_lockstep,

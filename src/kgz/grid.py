@@ -3,6 +3,11 @@
 Grid functions are plain float64 arrays of length ``M + 1`` whose first and
 last entries are zero (homogeneous Dirichlet). Operators only ever read and
 write interior values; boundary entries of returned arrays are exact zeros.
+
+The tridiagonal solves make no BLAS call: LAPACK gtsv and gttrs do not
+use one, and the residual gate measures its norms with numpy's pairwise
+sum instead of BLAS ``ddot``. A solve thus runs on one thread and decides
+whether to refine the same way whatever the BLAS build and thread count.
 """
 
 import math
@@ -162,7 +167,7 @@ def _diagonals(lower, diag, upper, n=None):
 
 
 def _require_rhs(rhs, n):
-    # contiguous, so that its norm sums in the order np.linalg.norm does
+    # one contiguous float array, the form that the solves and the residual take
     rhs = np.ascontiguousarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise ShapeError(f"rhs has length {rhs.shape}, expected {n}")
@@ -313,8 +318,14 @@ def _solve_factored(factor, rhs):
 
 
 def _norm(v):
-    """``np.linalg.norm`` of a contiguous float vector, bit for bit, without its dispatch."""
-    return math.sqrt(v.dot(v))
+    """The 2-norm of a float vector from numpy's pairwise sum of its squares.
+
+    No BLAS call: ``np.linalg.norm`` and ``v.dot(v)`` go through BLAS
+    ``ddot``, which runs on a second thread from n ~ 10 000, leaves that
+    thread spinning between calls, and gives other bits on another thread
+    count. This sum has the same bits whatever the BLAS build or its threads.
+    """
+    return math.sqrt(np.add.reduce(np.square(v)))
 
 
 def _residual(lower, diag, upper, x, rhs):

@@ -5,8 +5,22 @@ by the incompatibility data (eps^alpha * w0, eps^beta * w1). On the sine
 basis every mode is a harmonic oscillator with frequency theta_l, so the
 wave and its triangular-kernel time average evaluate exactly at any time;
 no second time discretization enters the solver through this term.
+
+A forward march takes the averaged potential of every step from one
+stream, ``InitialLayer._potentials``. The potential depends on the time
+alone, so the stream computes it ahead: a block of rows per DST call on
+small grids, and on grids where a block is a single row (M - 1 > 2^14) a
+forked producer process computes the rows beside the march and hands them
+over through a ring of shared slots. The producer serves a stream only in
+a process that is not itself a ``multiprocessing`` child (pool workers
+already share the cores), with at least 2 CPUs in its affinity mask and
+the ``fork`` start method; otherwise the stream runs in process. Either
+way every row has the bits of ``averaged_wave`` at its time.
 """
 
+import multiprocessing
+import os
+import signal
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,6 +33,29 @@ from .transforms import dst_forward, dst_inverse
 # nodes per block of streamed potentials: 52 rows at M = 620, and one row
 # from M = 16386 on, so a large run holds no more scratch than one row
 _BLOCK_NODES = 2**15
+# rows the producer process may run ahead of the march, one shared slot each
+_RING_SLOTS = 3
+# seconds a side waits for the other before it checks that the other is alive
+_POLL_S = 1.0
+
+
+def _use_producer(rows):
+    """Whether a stream of ``rows``-row blocks is served by a producer process."""
+    return (
+        rows == 1
+        and multiprocessing.parent_process() is None
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and "fork" in multiprocessing.get_all_start_methods()
+    )
+
+
+def _acquire(sem, alive):
+    """Acquire ``sem``; False when it is still taken once ``alive()`` turns false."""
+    while not sem.acquire(timeout=_POLL_S):
+        if not alive():
+            return sem.acquire(block=False)
+    return True
 
 
 def decay_order(alpha, beta):
@@ -117,15 +154,69 @@ class InitialLayer:
         """Yield ``averaged_wave(k tau, tau)`` for k = k_first .. k_stop - 1, in order.
 
         The potentials depend on t_k alone, never on the solution, so a
-        forward march takes them from here, computed ``_BLOCK_NODES // (M - 1)``
-        rows (at least one) at a time into scratch reused across blocks.
+        forward march takes them from here, computed ahead: in process
+        ``_BLOCK_NODES // (M - 1)`` rows (at least one) at a time, or one
+        row at a time by a producer process when ``_use_producer`` allows
+        it. A caller closes the stream when it stops early or fails
+        (``contextlib.closing``), which ends the producer.
         """
-        n = self.grid.M - 1
-        rows = max(1, _BLOCK_NODES // n)
-        phase, modes = np.empty((2, rows, n))
+        rows = max(1, _BLOCK_NODES // (self.grid.M - 1))
+        if _use_producer(rows):
+            return self._produced(k_first, k_stop, tau)
+        return self._computed(k_first, k_stop, tau, rows)
+
+    def _computed(self, k_first, k_stop, tau, rows):
+        """The in-process stream of ``_potentials``, ``rows`` rows per block, scratch reused."""
+        phase, modes = np.empty((2, rows, self.grid.M - 1))
         for k0 in range(k_first, k_stop, rows):
             ks = np.arange(k0, min(k0 + rows, k_stop))
             yield from self._averaged_block(ks * tau, tau, phase[: len(ks)], modes[: len(ks)])
+
+    def _produced(self, k_first, k_stop, tau):
+        """The stream of ``_potentials`` with its rows computed by a forked producer process.
+
+        The producer writes row i of the stream into slot i mod
+        ``_RING_SLOTS`` of a shared ring. ``free`` counts the slots it may
+        write and ``full`` the rows the march may read. Each row is copied
+        out of its slot before the slot goes back, so it keeps its bits.
+        The producer is joined on every exit of the stream, terminated
+        first if it still runs; should it die early, the stream goes on in
+        process from the first row it did not deliver.
+        """
+        if tau <= 0:  # here, as the producer has no way to raise into the march
+            raise ParameterError(f"tau must be positive, got {tau}")
+        ctx = multiprocessing.get_context("fork")
+        width = self.grid.M + 1
+        ring = np.frombuffer(ctx.RawArray("d", _RING_SLOTS * width)).reshape(_RING_SLOTS, width)
+        free, full = ctx.Semaphore(_RING_SLOTS), ctx.Semaphore(0)
+        producer = ctx.Process(
+            target=self._produce,
+            args=(k_first, k_stop, tau, ring, free, full),
+            daemon=True,
+        )
+        producer.start()
+        try:
+            for i, k in enumerate(range(k_first, k_stop)):
+                if not _acquire(full, producer.is_alive):
+                    yield from self._computed(k, k_stop, tau, 1)
+                    return
+                row = ring[i % _RING_SLOTS].copy()
+                free.release()
+                yield row
+        finally:
+            producer.terminate()
+            producer.join()
+
+    def _produce(self, k_first, k_stop, tau, ring, free, full):
+        """The producer's loop: each row of the in-process stream into its slot once it is free."""
+        # an interrupt from the terminal is the march's to handle; it ends the producer
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        parent = multiprocessing.parent_process()
+        for i, row in enumerate(self._computed(k_first, k_stop, tau, 1)):
+            if not _acquire(free, parent.is_alive):
+                return
+            ring[i % _RING_SLOTS] = row
+            full.release()
 
     def _average_weights(self, tau):
         # one run evaluates this every step with the same tau

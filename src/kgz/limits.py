@@ -24,6 +24,7 @@ the route changes a bit of the result.
 """
 
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -239,15 +240,15 @@ def _lockstep_metrics(params, data):
     state = _Lockstep(1, tau, first_state(params, data, layer), first_state_kg(params, data, layer))
     reducer = _LimitReducer(np.arange(K + 1) * tau, params.grid, tau, params.eps)
     reducer.push(state.coupled.F_prev, state.coupled.E_prev, state.limit.E_prev)
-    potentials = layer._potentials(1, K, tau)
 
     def advance(s):
         potential = next(potentials)
         coupled = _step(s.coupled, params, potential)
         return _Lockstep(coupled.k, coupled.t_k, coupled, _step(s.limit, params, potential))
 
-    for state in march(state, advance, K - 1):
-        reducer.push(state.coupled.F_curr, state.coupled.E_curr, state.limit.E_curr)
+    with closing(layer._potentials(1, K, tau)) as potentials:
+        for state in march(state, advance, K - 1):
+            reducer.push(state.coupled.F_curr, state.coupled.E_curr, state.limit.E_curr)
     return reducer.finish()
 
 

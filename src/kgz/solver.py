@@ -13,8 +13,9 @@ solve, and one state type, :class:`KgzState` with F None, so ``_step``,
 ``_step_back`` and ``_record`` serve both models. One generator,
 ``march``, owns the time loop of every driver. The averaged potential
 depends on the time alone, so the forward drivers take it from the
-layer's stream, which evaluates it a block of steps at a time, and call
-``_step``; ``step`` evaluates it for one step, with the same bits.
+layer's stream, which evaluates it ahead a block of steps at a time (on
+large grids in a producer process beside the march), and call ``_step``;
+``step`` evaluates it for one step, with the same bits.
 
 The field matrix depends on the current level and is solved afresh each
 step. The density matrix depends only on (M, h, tau, eps), so it is
@@ -32,6 +33,7 @@ not is the solution refined once in extended precision.
 
 import functools
 import warnings
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple
@@ -105,13 +107,17 @@ class InitialData:
     omega1: Callable
 
     def sample(self, grid):
+        """The four samples on the grid, boundary values zeroed; each must be finite inside."""
         out = []
-        for f in (self.E0, self.E1, self.omega0, self.omega1):
-            v = np.asarray(f(grid.nodes), dtype=float).copy()
+        for name in ("E0", "E1", "omega0", "omega1"):
+            v = np.asarray(getattr(self, name)(grid.nodes), dtype=float).copy()
             if v.shape != grid.nodes.shape:
                 raise ShapeError("initial data sampler returned a wrong shape")
             v[0] = 0.0
             v[-1] = 0.0
+            if not np.isfinite(v).all():
+                j = int(np.argmin(np.isfinite(v)))
+                raise ParameterError(f"initial data {name} is {v[j]} at node {j}")
             out.append(v)
         return tuple(out)
 
@@ -433,11 +439,16 @@ def trajectory(params, data):
 def _march_forward(state, params, layer):
     """``march`` a k = 1 state to T by ``_step``, the potentials streamed from ``layer``.
 
-    ``layer`` None steps without a potential (plain Klein-Gordon).
+    ``layer`` None steps without a potential (plain Klein-Gordon). The
+    stream is closed however the march ends, a KgzError included.
     """
     K = params.n_steps()
-    potentials = repeat(None) if layer is None else layer._potentials(1, K, params.tau)
-    return march(state, lambda s: _step(s, params, next(potentials)), K - 1)
+    if layer is None:
+        stream = nullcontext(repeat(None))
+    else:
+        stream = closing(layer._potentials(1, K, params.tau))
+    with stream as potentials:
+        yield from march(state, lambda s: _step(s, params, next(potentials)), K - 1)
 
 
 def _record(state, params, layer):
@@ -506,8 +517,8 @@ def nondimensionalize(v0, omega_p, c_s, n0, eps0, m, N0):
         ("m", m),
         ("N0", N0),
     ):
-        if val <= 0:
-            raise ParameterError(f"{name} must be positive, got {val}")
+        if not 0 < val < np.inf:  # NaN fails too
+            raise ParameterError(f"{name} must be positive and finite, got {val}")
     eps = np.sqrt(3.0) * v0 / c_s
     if eps > 1:
         warnings.warn(

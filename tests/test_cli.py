@@ -373,7 +373,7 @@ class TestCheck:
         code = main(["check"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "13/13 checks passed" in out
+        assert "14/14 checks passed" in out
         assert "FAIL" not in out
 
 

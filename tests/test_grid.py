@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -263,6 +268,33 @@ def residual_formula(lower, diag, upper, x, rhs, dtype=float):
     return rhs.astype(dtype, copy=False) - ax
 
 
+def pairwise_sum(a, lo=0, n=None):
+    """numpy's pairwise summation of ``a[lo:lo + n]`` as its add loop writes it.
+
+    Under 8 terms a plain loop; up to 128, eight running sums combined as a
+    tree, then the remainder; above, two halves, the first a multiple of 8.
+    """
+    n = len(a) if n is None else n
+    if n < 8:
+        res = 0.0
+        for x in a[lo : lo + n]:
+            res += x
+        return res
+    if n <= 128:
+        r = a[lo : lo + 8]
+        i = 8
+        while i < n - n % 8:
+            r = [r[j] + a[lo + i + j] for j in range(8)]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[lo + i : lo + n]:
+            res += x
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return pairwise_sum(a, lo, n2) + pairwise_sum(a, lo + n2, n - n2)
+
+
 class TestResidualGate:
     """The gate's residual and norms repeat the written formulas bit for bit."""
 
@@ -284,10 +316,31 @@ class TestResidualGate:
 
     @pytest.mark.parametrize("n", [1, 2, 679, 29439])
     def test_norm_matches_numpy(self, rng, n):
+        # numpy's pairwise sum of the squares, from its identity 0.0
         for scale in (1e-300, 1.0, 1e300):
             v = scale * rng.standard_normal(n)
+            squares = [x * x for x in v.tolist()]
             with np.errstate(over="ignore"):
-                assert kgz.grid._norm(v) == float(np.linalg.norm(v))
+                assert kgz.grid._norm(v) == math.sqrt(0.0 + pairwise_sum(squares))
+
+    def test_norm_bits_do_not_depend_on_blas_threads(self):
+        # under BLAS ddot, seeds 0 and 6 gave other bits on 2 threads than on 1
+        script = (
+            "import numpy as np, kgz.grid\n"
+            "for seed in range(8):\n"
+            "    v = np.random.default_rng(seed).standard_normal(29439)\n"
+            "    print(kgz.grid._norm(v).hex())"
+        )
+        src = os.path.dirname(os.path.dirname(kgz.grid.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        bits = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            bits.add(out.stdout.strip())
+        assert len(bits) == 1, bits
 
 
 class TestFactoredTridiagonal:

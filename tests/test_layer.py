@@ -1,6 +1,10 @@
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+import kgz.layer
 from kgz import Grid1D, InitialLayer, ParameterError, decay_order, grid_norms
 from kgz.checks import triangular_average_quadrature
 from conftest import random_grid_fn
@@ -154,3 +158,64 @@ class TestAveragedWave:
             gaps.append(gap)
         ratio = gaps[0] / gaps[1]
         assert 4.0 * 0.9 <= ratio <= 4.0 * 1.1
+
+
+class TestPotentialProducer:
+    """At M - 1 > 2^14 every block is one row, and a forked process may compute the rows."""
+
+    @pytest.fixture
+    def layer(self, rng):
+        return make_layer(rng, Grid1D(-6.0, 6.0, 16386), eps=0.25)
+
+    def test_rule(self, two_cpus):
+        assert kgz.layer._use_producer(1)
+        assert not kgz.layer._use_producer(2)
+
+    def test_one_cpu_stays_in_process(self, layer, monkeypatch):
+        monkeypatch.setattr(kgz.layer.os, "sched_getaffinity", lambda pid: {0})
+        assert not kgz.layer._use_producer(1)
+        stream = layer._potentials(1, 5, 0.01)
+        next(stream)
+        assert multiprocessing.active_children() == []
+
+    def test_pool_worker_stays_in_process(self, two_cpus):
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert not pool.submit(kgz.layer._use_producer, 1).result()
+
+    def test_small_grid_stays_in_process(self, rng, two_cpus):
+        layer = make_layer(rng, Grid1D(-6.0, 6.0, 920), eps=0.25)
+        next(layer._potentials(1, 5, 0.01))
+        assert multiprocessing.active_children() == []
+
+    def test_rows_match_in_process_stream(self, layer):
+        # 8 rows wrap the 3-slot ring twice
+        want = list(layer._computed(3, 11, 0.01, 1))
+        got = list(layer._produced(3, 11, 0.01))
+        assert len(got) == len(want) == 8
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert multiprocessing.active_children() == []
+
+    def test_closed_early_ends_producer(self, layer):
+        stream = layer._produced(1, 50, 0.01)
+        first = next(stream)
+        assert len(multiprocessing.active_children()) == 1
+        stream.close()
+        assert multiprocessing.active_children() == []
+        assert np.array_equal(first, layer.averaged_wave(0.01, 0.01))
+
+    def test_dead_producer_falls_back_in_process(self, layer, monkeypatch):
+        monkeypatch.setattr(kgz.layer, "_POLL_S", 0.05)
+        stream = layer._produced(1, 9, 0.01)
+        got = [next(stream)]
+        (producer,) = multiprocessing.active_children()
+        producer.kill()
+        got += list(stream)
+        want = list(layer._computed(1, 9, 0.01, 1))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_tau_validation(self, layer):
+        with pytest.raises(ParameterError):
+            next(layer._produced(1, 5, 0.0))

@@ -1,3 +1,5 @@
+import multiprocessing
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +37,7 @@ from kgz import (
     trajectory_kg,
 )
 import kgz.layer
+import kgz.solver
 from kgz.grid import second_difference_interior
 from kgz.limits import _lockstep_metrics
 from kgz.presets import preset_initial_data
@@ -413,6 +416,27 @@ class TestDensity:
         assert np.max(np.abs((N + E**2) - F)) <= 1e-15 * max(np.max(np.abs(F)), 1e-30)
 
 
+class TestInitialData:
+    @pytest.mark.parametrize("name", ["E0", "E1", "omega0", "omega1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_sample_is_a_bad_input(self, name, bad):
+        def spoiled(x):
+            v = np.exp(-(x**2))
+            v[len(x) // 2] = bad
+            return v
+
+        data = replace(preset_initial_data("gauss_sech"), **{name: spoiled})
+        with pytest.raises(ParameterError, match=name):
+            run(toy_params(T=0.05), data)
+
+    def test_boundary_values_are_dropped(self):
+        # the boundary nodes are zeroed, whatever the sampler gives there
+        edge = lambda x: np.where(np.abs(x) == np.max(np.abs(x)), np.nan, np.exp(-(x**2)))
+        data = replace(preset_initial_data("gauss_sech"), E0=edge)
+        E0, *_ = data.sample(Grid1D(-6.0, 6.0, 32))
+        assert E0[0] == E0[-1] == 0.0 and np.isfinite(E0).all()
+
+
 class TestRun:
     def test_minimal_two_steps(self):
         data = preset_initial_data("gauss_sech")
@@ -571,6 +595,14 @@ class TestScaling:
         with pytest.raises(ParameterError):
             nondimensionalize(v0=0.0, omega_p=1.0, c_s=1.0, n0=1.0, eps0=1.0, m=1.0, N0=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["v0", "c_s", "N0"])
+    def test_rejects_nonfinite(self, name, bad):
+        values = dict(v0=0.1, omega_p=1.0, c_s=1.0, n0=1.0, eps0=1.0, m=1.0, N0=1.0)
+        values[name] = bad
+        with pytest.raises(ParameterError, match=name):
+            nondimensionalize(**values)
+
 
 def stepwise_levels(params, data, limit=False, use_potential=True):
     """Every level of a march by the public one-step functions, each evaluating its own potential."""
@@ -632,3 +664,58 @@ class TestStreamedPotentials:
         got = _lockstep_metrics(params, data)
         for name in ("times", "eta_2", "eta_inf", "eta_e", "f_l2"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestOneThreadHotPath:
+    """A large march makes no BLAS call, and a producer process is joined however it ends."""
+
+    @pytest.fixture
+    def produced(self, monkeypatch):
+        """The number of streams a producer process served."""
+        calls = []
+        produce = kgz.layer.InitialLayer._produced
+
+        def counted(layer, *args):
+            calls.append(args)
+            return produce(layer, *args)
+
+        monkeypatch.setattr(kgz.layer.InitialLayer, "_produced", counted)
+        return calls
+
+    def test_march_uses_one_core(self):
+        # M - 1 = 2^14: two-row blocks, in process; a spinning BLAS helper
+        # thread used to take this ratio to about 2
+        params = toy_params(M=16385, tau=0.005, T=1.0)
+        data = preset_initial_data("gauss_sech")
+        run(replace(params, T=0.01), data)  # warm up
+        cpu, wall = time.process_time(), time.perf_counter()
+        run(params, data)
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        assert cpu <= 1.25 * wall
+
+    def test_run_joins_producer(self, two_cpus, produced):
+        params = toy_params(M=16386, tau=0.01, T=0.06)
+        data = preset_initial_data("gauss_sech")
+        (snap,) = run(params, data)
+        assert len(produced) == 1 and multiprocessing.active_children() == []
+        _, ref = stepwise_levels(params, data)
+        assert np.array_equal(snap.E, ref.E[-1]) and np.array_equal(snap.F, ref.F[-1])
+
+    def test_failed_step_joins_producer(self, two_cpus, produced, monkeypatch):
+        def failing(s, params, potential):
+            if s.k == 3:
+                raise StabilityError("injected")
+            return _step(s, params, potential)
+
+        monkeypatch.setattr(kgz.solver, "_step", failing)
+        with pytest.raises(StabilityError) as info:
+            run(toy_params(M=16386, tau=0.01, T=0.5), preset_initial_data("gauss_sech"))
+        assert info.value.k == 3
+        assert len(produced) == 1 and multiprocessing.active_children() == []
+
+    def test_lockstep_joins_producer(self, two_cpus, produced, monkeypatch):
+        monkeypatch.setattr(kgz.layer, "_BLOCK_NODES", 5)
+        params = toy_params(M=48, T=0.11)
+        data = preset_initial_data("gauss_sech")
+        _lockstep_metrics(params, data)
+        assert len(produced) == 1 and multiprocessing.active_children() == []
