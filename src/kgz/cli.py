@@ -65,7 +65,8 @@ def build_parser():
     p.add_argument("--snapshots", type=_floats, help="comma-separated snapshot times")
     p.add_argument("--domain", type=_floats, help="override domain, written as --domain=a,b")
     p.add_argument("--out", help="output path prefix")
-    p.add_argument("--paper-scale", action="store_true", dest="paper_scale")
+    p.add_argument("--paper-scale", action="store_true", dest="paper_scale",
+                   help="accepted like sweep's flag; it has no effect on solve")
 
     p = sub.add_parser("sweep", help="convergence sweep producing a rate table", allow_abbrev=False)
     _add_common(p)

@@ -16,6 +16,7 @@ every table and CSV is the serial one.
 """
 
 import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -82,9 +83,14 @@ def _check_eps_list(eps_list):
             raise ParameterError(f"eps values must lie in (0, 1], got {eps}")
 
 
+def _check_count(value, name, least):
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _check_refine(factor, name):
-    if factor < 1 or factor & (factor - 1):
-        raise ParameterError(f"{name} must be a power of two >= 1, got {factor}")
+    if not isinstance(factor, numbers.Integral) or factor < 1 or factor & (factor - 1):
+        raise ParameterError(f"{name} must be a power of two >= 1, got {factor!r}")
 
 
 def reference_solution(params, data, refine_space=8, refine_time=1, times=None):
@@ -215,36 +221,42 @@ def _atomic_write(path, text):
 
 
 def read_table(path):
-    """Parse a sweep CSV back into a RateTable."""
-    with open(path, "r", newline="") as fh:
-        lines = fh.read().splitlines()
+    """Parse a sweep CSV back into a RateTable; a malformed line names its path and number."""
+    try:
+        with open(path, "r", newline="") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path} is not a kgz sweep table: {exc}") from None
     if not lines or lines[0] != f"# {_TABLE_TITLE}" or _HEADER not in lines:
         raise ParameterError(f"{path} is not a kgz sweep table")
-    meta = {}
-    rows = []
-    failures = []
-    fail_msgs = {}
-    for line in lines:
-        if not line or line == _HEADER:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("failed "):
-                parts = body[len("failed ") :].split(" ", 3)
-                key = tuple(p.split("=", 1)[1] for p in parts[:3])
-                fail_msgs[key] = parts[3] if len(parts) > 3 else ""
-            elif "=" in body:
-                key, value = body.split("=", 1)
-                meta[key] = value
-            continue
-        cells = line.split(",")
-        if "ERROR" in cells:
-            key = tuple(cells[:3])  # eps, h, tau
-            failures.append(FailedRow(*map(float, key), message=fail_msgs.get(key, "")))
-            continue
-        vals = (float(c) if c else None for c in cells)
-        rows.append(ErrorRow(**dict(zip(_COLUMNS, vals))))
-    return RateTable(meta=meta, rows=rows, failures=failures)
+    table = RateTable()
+    fail_msgs = {}  # the failure notes come before the rows
+    for number, line in enumerate(lines, 1):
+        try:
+            if not line or line == _HEADER:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("failed "):
+                    parts = body[len("failed ") :].split(" ", 3)
+                    key = tuple(p.split("=", 1)[1] for p in parts[:3])
+                    fail_msgs[key] = parts[3] if len(parts) > 3 else ""
+                elif "=" in body:
+                    key, value = body.split("=", 1)
+                    table.meta[key] = value
+                continue
+            cells = line.split(",")
+            if len(cells) != len(_COLUMNS):
+                raise ValueError(f"{len(cells)} cells, a row has {len(_COLUMNS)}")
+            if "ERROR" in cells:
+                key = tuple(cells[:3])  # eps, h, tau
+                table.failures.append(FailedRow(*map(float, key), message=fail_msgs.get(key, "")))
+            else:
+                vals = (float(c) if c else None for c in cells)
+                table.rows.append(ErrorRow(**dict(zip(_COLUMNS, vals))))
+        except (ParameterError, TypeError, ValueError, IndexError) as exc:
+            raise ParameterError(f"{path}, line {number}: {exc}") from None
+    return table
 
 
 @dataclass(frozen=True)
@@ -294,8 +306,8 @@ class SweepSpec:
             levels=self.levels if self.levels is not None else d["levels"],
             eps_list=tuple(self.eps_list) if self.eps_list is not None else d["eps_list"],
         )
-        if out.levels < 2:
-            raise ParameterError(f"levels must be >= 2, got {out.levels}")
+        _check_count(out.levels, "levels", 2)
+        _check_count(out.workers, "workers", 1)
         _check_refine(out.refine_space, "refine_space")
         _check_refine(out.refine_time, "refine_time")
         _check_eps_list(out.eps_list)
@@ -510,6 +522,7 @@ def limit_study(preset, case, eps_list, h, tau, T=1.0, alpha=None, beta=None, ou
     Returns the slope of log2 max eta_e against log2 eps (None below two eps).
     """
     _check_eps_list(eps_list)
+    _check_count(workers, "workers", 1)
     alpha, beta = case_exponents(case, alpha, beta)
     tau, _, _ = aligned_tau(T, tau)
     tasks = _limit_tasks(preset, alpha, beta, eps_list, h, tau, T)

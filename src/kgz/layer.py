@@ -18,6 +18,7 @@ the ``fork`` start method; otherwise the stream runs in process. Either
 way every row has the bits of ``averaged_wave`` at its time.
 """
 
+import math
 import multiprocessing
 import os
 import signal
@@ -68,8 +69,8 @@ def decay_order(alpha, beta):
 
 
 def _check_eps(eps):
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:  # NaN fails too
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     if eps > 1:
         warnings.warn(
             f"eps={eps} exceeds the analysis range (0, 1]; proceeding",
@@ -129,25 +130,24 @@ class InitialLayer:
         multiplies the amplitude by 4 sin^2(theta tau / 2) / (theta tau)^2.
         """
         rows = np.empty((2, 1, self.grid.M - 1))
-        return self._averaged_block(np.array([t]), tau, *rows)[0]
+        return self._averaged_block(np.array([t]), self._average_weights(tau), *rows)[0]
 
-    def _averaged_block(self, times, tau, phase, modes):
+    def _averaged_block(self, times, weights, phase, modes):
         """``averaged_wave`` at each of ``times``, one row each, from one DST call.
 
-        ``phase`` and ``modes`` are scratch of shape (len(times), M - 1).
-        Each element goes through the products and sums of
+        ``weights`` are ``_average_weights(tau)``, and ``phase`` and
+        ``modes`` scratch of shape (len(times), M - 1). Each element goes
+        through the products and sums of
         ``weight * (amp0 cos(theta t) + amp1 sin(theta t))`` whatever the
         number of rows, so a row has the bits of ``averaged_wave`` at its time.
         """
-        if tau <= 0:
-            raise ParameterError(f"tau must be positive, got {tau}")
         np.multiply(times[:, None], self.theta, out=phase)
         np.cos(phase, out=modes)
         modes *= self.amp0
         np.sin(phase, out=phase)
         phase *= self.amp1
         modes += phase
-        modes *= self._average_weights(tau)
+        modes *= weights
         return dst_inverse(modes, self.grid)
 
     def _potentials(self, k_first, k_stop, tau):
@@ -166,11 +166,12 @@ class InitialLayer:
         return self._computed(k_first, k_stop, tau, rows)
 
     def _computed(self, k_first, k_stop, tau, rows):
-        """The in-process stream of ``_potentials``, ``rows`` rows per block, scratch reused."""
+        """The in-process stream of ``_potentials``, ``rows`` rows per block; one set of weights."""
+        weights = self._average_weights(tau)
         phase, modes = np.empty((2, rows, self.grid.M - 1))
         for k0 in range(k_first, k_stop, rows):
             ks = np.arange(k0, min(k0 + rows, k_stop))
-            yield from self._averaged_block(ks * tau, tau, phase[: len(ks)], modes[: len(ks)])
+            yield from self._averaged_block(ks * tau, weights, phase[: len(ks)], modes[: len(ks)])
 
     def _produced(self, k_first, k_stop, tau):
         """The stream of ``_potentials`` with its rows computed by a forked producer process.
@@ -183,8 +184,8 @@ class InitialLayer:
         first if it still runs; should it die early, the stream goes on in
         process from the first row it did not deliver.
         """
-        if tau <= 0:  # here, as the producer has no way to raise into the march
-            raise ParameterError(f"tau must be positive, got {tau}")
+        if not 0 < tau < math.inf:  # here, as the producer has no way to raise into the march
+            raise ParameterError(f"tau must be positive and finite, got {tau}")
         ctx = multiprocessing.get_context("fork")
         width = self.grid.M + 1
         ring = np.frombuffer(ctx.RawArray("d", _RING_SLOTS * width)).reshape(_RING_SLOTS, width)
@@ -219,14 +220,11 @@ class InitialLayer:
             full.release()
 
     def _average_weights(self, tau):
-        # one run evaluates this every step with the same tau
-        cached = getattr(self, "_weights_cache", None)
-        if cached is not None and cached[0] == tau:
-            return cached[1]
+        """The per-mode average factors (sin(theta tau / 2) / (theta tau / 2))^2; checks tau."""
+        if not 0 < tau < math.inf:  # NaN fails too
+            raise ParameterError(f"tau must be positive and finite, got {tau}")
         half = 0.5 * self.theta * tau
-        weight = (np.sin(half) / half) ** 2
-        object.__setattr__(self, "_weights_cache", (tau, weight))
-        return weight
+        return (np.sin(half) / half) ** 2
 
     def amplitude_bound(self):
         """Triangle-inequality bound on the max norm of the wave, any t."""

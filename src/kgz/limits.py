@@ -24,7 +24,6 @@ the route changes a bit of the result.
 """
 
 from collections import deque
-from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,8 +31,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .grid import GridNorms, _h1, _inf, _l2, grid_norms, inner_product
-from .solver import KgzState, Trajectory, _record, _step, _step_back, _taylor_start
-from .solver import build_layer, first_state, march
+from .solver import KgzState, Trajectory, _march_forward, _record, _stencil, _step, _step_back
+from .solver import _taylor_start, build_layer, first_state
 from .solver import _solve_field  # noqa: F401  perfbench/tracer.py wraps this name here
 
 # time levels per reduced block; any size gives the same bits, it only
@@ -57,14 +56,14 @@ def first_state_kg(params, data, layer, use_potential=True):
 def step_kg(state, params, layer, use_potential=True):
     """One forward step of the limit model."""
     potential = layer.averaged_wave(state.t_k, params.tau) if use_potential else None
-    return _step(state, params, potential)
+    return _step(state, _stencil(params), potential)
 
 
 def step_kg_back(state, params, layer, use_potential=True):
     """One backward step, centered at the prev level (see solver.step_back)."""
     tau = params.tau
     potential = layer.averaged_wave(state.t_k - tau, tau) if use_potential else None
-    return _step_back(state, params, potential)
+    return _step_back(state, _stencil(params), potential)
 
 
 def trajectory_kg(params, data, layer, use_potential=True):
@@ -229,6 +228,12 @@ class _Lockstep(NamedTuple):
     limit: KgzState
 
 
+def _lockstep_step(s, st, potential):
+    """One step of both models, with the one stencil and averaged potential they share."""
+    coupled = _step(s.coupled, st, potential)
+    return _Lockstep(coupled.k, coupled.t_k, coupled, _step(s.limit, st, potential))
+
+
 def _lockstep_metrics(params, data):
     """The LimitMetrics of one eps, with both models marched in lockstep from one layer.
 
@@ -240,15 +245,8 @@ def _lockstep_metrics(params, data):
     state = _Lockstep(1, tau, first_state(params, data, layer), first_state_kg(params, data, layer))
     reducer = _LimitReducer(np.arange(K + 1) * tau, params.grid, tau, params.eps)
     reducer.push(state.coupled.F_prev, state.coupled.E_prev, state.limit.E_prev)
-
-    def advance(s):
-        potential = next(potentials)
-        coupled = _step(s.coupled, params, potential)
-        return _Lockstep(coupled.k, coupled.t_k, coupled, _step(s.limit, params, potential))
-
-    with closing(layer._potentials(1, K, tau)) as potentials:
-        for state in march(state, advance, K - 1):
-            reducer.push(state.coupled.F_curr, state.coupled.E_curr, state.limit.E_curr)
+    for state in _march_forward(state, params, layer, _lockstep_step):
+        reducer.push(state.coupled.F_curr, state.coupled.E_curr, state.limit.E_curr)
     return reducer.finish()
 
 

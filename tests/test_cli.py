@@ -173,6 +173,20 @@ class TestSweep:
         code = main(["sweep", "--mode", "sideways"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", [["sweep", "--mode", "temporal"], ["limit-study"]])
+    def test_no_workers_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        code = main([*command, "--eps-list", "1", "--T", "0.1", "--workers", "0",
+                     "--out", str(out)])
+        assert code == 1
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solve_paper_scale_help_says_no_effect(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        assert "no effect on solve" in " ".join(capsys.readouterr().out.split())
+
 
 class TestLimitStudy:
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import math
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,6 +224,27 @@ class TestTableSerialization:
         assert str(path) in str(info.value)
 
 
+    @pytest.mark.parametrize(
+        "row, detail",
+        [
+            ("1,0.2,1E-04,1,0.01", "5 cells"),
+            ("1,0.2,1E-04,1,0.01,0.02,,,7", "9 cells"),
+            ("1,0.2,x,1,0.01,0.02,,", "could not convert"),
+            ("1,0.2,1E-04,1,,0.02,,", "NoneType"),
+            ("1,0.2,1E-04,1,-0.01,0.02,,", "e_err must be finite"),
+            ("1,y,1E-04,,ERROR,ERROR,,", "could not convert"),
+        ],
+        ids=["short", "long", "text", "empty-error", "negative-error", "failed-text"],
+    )
+    def test_read_table_names_malformed_line(self, tmp_path, row, detail):
+        path = tmp_path / "t.csv"
+        header = "eps,h,tau,t,e_err,n_err,rate_e,rate_n"
+        path.write_text(f"# kgz sweep table\n# mode=spatial\n{header}\n{row}\n")
+        with pytest.raises(ParameterError, match=detail) as info:
+            read_table(str(path))
+        assert f"{path}, line 4: " in str(info.value)
+
+
 _SNAP = Snapshot(
     t=0.05, E=np.array([0.0, 0.5, 0.0]), F=np.array([0.0, -0.25, 0.0]),
     N=np.array([0.0, 1.0 / 3, 0.0]),
@@ -395,6 +417,30 @@ class TestRunSweep:
                 SweepSpec(mode="temporal", case="I", eps_list=(1.0,), h0=0.5, tau0=0.05,
                           levels=2, T=0.1, refine_time=3)
             )
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"levels": 2.5}, {"refine_space": 2.0}, {"refine_time": 4.5}, {"workers": 0},
+         {"workers": -3}, {"workers": 1.5}],
+        ids=["levels", "refine_space", "refine_time", "workers-0", "workers-negative",
+             "workers-fraction"],
+    )
+    def test_counts_must_be_integers(self, change):
+        (name,) = change
+        with pytest.raises(ParameterError, match=name):
+            SweepSpec(mode="temporal", **change).resolved()
+        spec = SweepSpec(mode="temporal", case="I", eps_list=(1.0,), h0=0.5, tau0=0.05,
+                         levels=2, T=0.1)
+        with pytest.raises(ParameterError, match=name):
+            run_sweep(replace(spec, **change))
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5])
+    def test_limit_study_workers(self, tmp_path, workers):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ParameterError, match="workers"):
+            limit_study("gauss_sech", "I", (0.25,), 0.5, 0.05, T=0.25, out_path=str(out),
+                        workers=workers)
+        assert not out.exists()
 
     def test_spatial_levels_refine_the_coarsest_grid(self):
         # h0 = 0.3094 does not divide the domain length 62: the levels must

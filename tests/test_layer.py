@@ -47,6 +47,12 @@ class TestConstruction:
         with pytest.warns(UserWarning):
             InitialLayer.from_samples(g, 1.5, 0.0, 0.0, g.zeros(), g.zeros())
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        g = Grid1D(0.0, 1.0, 4)
+        with pytest.raises(ParameterError, match="finite"):
+            InitialLayer.from_samples(g, eps, 0.0, 0.0, g.zeros(), g.zeros())
+
 
 class TestDecayOrder:
     @pytest.mark.parametrize("alpha,beta,expected", [(1, 0, 1), (0, -1, 0), (2, 1, 2)])
@@ -118,6 +124,14 @@ class TestAveragedWave:
         layer = make_layer(rng, g, eps=0.5)
         with pytest.raises(ParameterError):
             layer.averaged_wave(0.5, 0.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_rejected(self, rng, tau):
+        layer = make_layer(rng, Grid1D(0.0, 1.0, 8), eps=0.5)
+        with pytest.raises(ParameterError, match="finite"):
+            layer.averaged_wave(0.5, tau)
+        with pytest.raises(ParameterError, match="finite"):
+            next(layer._potentials(1, 5, tau))
 
     def test_single_mode_closed_form(self):
         # on (0, pi) with eps = 1 the first frequency is exactly 1, and with
@@ -219,3 +233,8 @@ class TestPotentialProducer:
     def test_tau_validation(self, layer):
         with pytest.raises(ParameterError):
             next(layer._produced(1, 5, 0.0))
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_rejected(self, layer, tau):
+        with pytest.raises(ParameterError, match="finite"):
+            next(layer._produced(1, 5, tau))

@@ -1,6 +1,6 @@
 import multiprocessing
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -37,11 +37,12 @@ from kgz import (
     trajectory_kg,
 )
 import kgz.layer
+import kgz.limits
 import kgz.solver
 from kgz.grid import second_difference_interior
 from kgz.limits import _lockstep_metrics
 from kgz.presets import preset_initial_data
-from kgz.solver import _density_factor, _field_off_diagonal, _stencil, _step, march
+from kgz.solver import _stencil, _step, march
 from conftest import random_grid_fn
 
 
@@ -253,7 +254,7 @@ class TestStep:
         got = step(coupled, params, layer)
         assert np.array_equal(got.E_curr, E) and np.array_equal(got.F_curr, F)
         E, F = formula_step(limit, params, layer)
-        got = _step(limit, params, layer.averaged_wave(limit.t_k, params.tau))
+        got = _step(limit, _stencil(params), layer.averaged_wave(limit.t_k, params.tau))
         assert np.array_equal(got.E_curr, E) and F is None and got.F_curr is None
 
     def test_zero_fixed_point(self):
@@ -486,9 +487,8 @@ class TestRun:
         "change", [{"tau": 0.02}, {"eps": 0.125}, {"grid": Grid1D(-8.0, 8.0, 48)}]
     )
     def test_interleaved_runs_match_solo_runs(self, change):
-        # the density factor, the field off-diagonal and the run constants
-        # holding them are cached across steps; two runs that differ in
-        # any of them must never share one
+        # two runs that differ in the density factor, the field
+        # off-diagonal or the run constants holding them must never share one
         data = preset_initial_data("gauss_sech")
         base = toy_params(eps=0.25, M=48, tau=0.01)
         runs = [base, replace(base, **change)]
@@ -499,16 +499,10 @@ class TestRun:
 
         solo = []
         for i in range(2):
-            _density_factor.cache_clear()
-            _field_off_diagonal.cache_clear()
-            _stencil.cache_clear()
             state = start(i)
             for _ in range(20):
                 state = step(state, runs[i], layers[i])
             solo.append(state)
-        _density_factor.cache_clear()
-        _field_off_diagonal.cache_clear()
-        _stencil.cache_clear()
         states = [start(0), start(1)]
         for _ in range(20):
             states = [step(states[i], runs[i], layers[i]) for i in range(2)]
@@ -518,8 +512,7 @@ class TestRun:
 
     def test_field_off_diagonal_is_shared_and_read_only(self):
         grid = Grid1D(-6.0, 6.0, 48)
-        off = _field_off_diagonal(grid.M, grid.h)
-        assert off is _field_off_diagonal(grid.M, grid.h)
+        off = _stencil(toy_params(M=48)).off
         assert not off.flags.writeable
         assert np.array_equal(off, np.full(grid.M - 2, -0.5 * (1.0 / grid.h**2)))
 
@@ -719,3 +712,29 @@ class TestOneThreadHotPath:
         data = preset_initial_data("gauss_sech")
         _lockstep_metrics(params, data)
         assert len(produced) == 1 and multiprocessing.active_children() == []
+
+
+class TestRunSetUpOnce:
+    """A run's stencil and averaging weights live in the run: no cache keeps them across runs."""
+
+    def test_no_module_cache(self):
+        cached = [
+            f"{module.__name__}.{name}"
+            for module in (kgz.solver, kgz.limits, kgz.layer)
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_info")
+        ]
+        assert cached == []
+
+    def test_run_leaves_only_fields_on_the_layer(self, monkeypatch):
+        layers = []
+        build = kgz.solver.build_layer
+
+        def recorded(params, data):
+            layers.append(build(params, data))
+            return layers[-1]
+
+        monkeypatch.setattr(kgz.solver, "build_layer", recorded)
+        run(toy_params(M=48, T=0.2), preset_initial_data("gauss_sech"))
+        (layer,) = layers
+        assert set(vars(layer)) == {f.name for f in fields(InitialLayer)}
