@@ -7,6 +7,9 @@ and its value is read exactly as that flag's value: a list is a comma list,
 a key that names no option of the subcommand is an error. The config's
 flags go before the command line's own, so values given on the command
 line win. A flag must be spelled out in full; a prefix of it is an error.
+``sweep`` and ``limit-study`` hand on only the options given (not None),
+so the rest take the defaults of ``SweepSpec`` and ``limit_study``;
+``_DEFAULTS`` holds only what the command line adds to them.
 Exit codes: 0 success, 1 parameter problem, 2 numerical failure.
 """
 
@@ -15,7 +18,7 @@ import json
 import os
 import sys
 
-from .errors import KgzError, ParameterError
+from .errors import KgzError, ParameterError, describe
 from .harness import (
     SweepSpec,
     aligned_tau,
@@ -103,14 +106,7 @@ _DEFAULTS = {
         "T": 1.0,
         "out": "kgz_solve",
     },
-    "sweep": {
-        "preset": "gauss_sech",
-        "case": "II",
-        "mode": "spatial",
-        "T": 1.0,
-        "workers": 1,
-        "out": "kgz_sweep.csv",
-    },
+    "sweep": {"mode": "spatial", "out": "kgz_sweep.csv"},
     "limit-study": {
         "preset": "bump",
         "case": "custom",
@@ -119,8 +115,6 @@ _DEFAULTS = {
         "eps_list": (0.25, 0.125, 0.0625, 0.03125, 0.015625),
         "h": 0.05,
         "tau": 1e-3,
-        "T": 1.0,
-        "workers": 1,
         "out": "kgz_limit.csv",
     },
 }
@@ -170,22 +164,18 @@ def _cmd_solve(opt):
     return 0
 
 
+def _given(opt, *names):
+    """Keyword arguments of the given (not None) options among ``names``; out is out_path."""
+    given = {name: getattr(opt, name) for name in names if getattr(opt, name) is not None}
+    if "out" in given:
+        given["out_path"] = given.pop("out")
+    return given
+
+
 def _cmd_sweep(opt):
-    spec = SweepSpec(
-        mode=opt.mode.replace("-", "_"),
-        preset=opt.preset,
-        case=opt.case,
-        alpha=opt.alpha,
-        beta=opt.beta,
-        eps_list=opt.eps_list,
-        h0=opt.h0,
-        tau0=opt.tau0,
-        levels=opt.levels,
-        T=opt.T,
-        out_path=opt.out,
-        workers=opt.workers,
-        paper_scale=opt.paper_scale,
-    )
+    options = _given(opt, "preset", "case", "alpha", "beta", "eps_list", "h0", "tau0", "levels",
+                     "T", "out", "workers", "paper_scale")
+    spec = SweepSpec(mode=opt.mode.replace("-", "_"), **options)
     table = run_sweep(spec)
     print(f"wrote {opt.out} with {len(table.rows)} rows", end="")
     if table.failures:
@@ -197,18 +187,9 @@ def _cmd_sweep(opt):
 
 
 def _cmd_limit_study(opt):
-    slope = limit_study(
-        preset=opt.preset,
-        case=opt.case,
-        eps_list=opt.eps_list,
-        h=opt.h,
-        tau=opt.tau,
-        T=opt.T,
-        alpha=opt.alpha,
-        beta=opt.beta,
-        out_path=opt.out,
-        workers=opt.workers,
-    )
+    options = _given(opt, "preset", "case", "eps_list", "h", "tau", "T", "alpha", "beta", "out",
+                     "workers")
+    slope = limit_study(**options)
     print(f"wrote {opt.out}; eta_e slope vs eps: {slope if slope is None else f'{slope:.3f}'}")
     return 0
 
@@ -249,7 +230,7 @@ def main(argv=None):
         print(f"parameter error: {exc}", file=sys.stderr)
         return 1
     except KgzError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"numerical failure: {describe(exc)}", file=sys.stderr)
         return 2
 
 

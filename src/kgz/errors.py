@@ -1,4 +1,6 @@
-"""Exception types shared across the solver and harness."""
+"""Exception types shared across the solver and harness, and the input rule they share."""
+
+import math
 
 
 class KgzError(Exception):
@@ -46,3 +48,15 @@ class StabilityError(KgzError, ArithmeticError):
 
 class DegenerateProblemError(KgzError, ArithmeticError):
     """A relative error was requested against an identically zero reference."""
+
+
+def positive_finite(name, value):
+    """``value`` if it is positive and finite, else a ParameterError naming it; NaN fails too."""
+    if not 0 < value < math.inf:
+        raise ParameterError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def describe(exc):
+    """The one-line ``Type: message`` form in which a failure is reported."""
+    return f"{type(exc).__name__}: {exc}"

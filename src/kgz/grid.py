@@ -11,6 +11,7 @@ whether to refine the same way whatever the BLAS build and thread count.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -21,6 +22,13 @@ from .errors import IllConditionedError, ParameterError, ShapeError, SingularSys
 
 RESIDUAL_TOL = 1e-12
 _TINY = np.finfo(float).tiny
+
+
+def _interval(a, b):
+    """``(a, b)`` if it is a finite nonempty interval, else a ParameterError; NaN fails too."""
+    if not -math.inf < a < b < math.inf:
+        raise ParameterError(f"the interval must be finite and nonempty, got ({a}, {b})")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -35,10 +43,9 @@ class Grid1D:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.M < 2:
-            raise ParameterError(f"need at least 2 cells, got M={self.M}")
-        if not self.b > self.a:
-            raise ParameterError(f"empty interval: a={self.a}, b={self.b}")
+        if not isinstance(self.M, numbers.Integral) or self.M < 2:
+            raise ParameterError(f"need an integer M >= 2 cells, got M={self.M!r}")
+        _interval(self.a, self.b)
         object.__setattr__(self, "h", (self.b - self.a) / self.M)
         # linspace pins both endpoints exactly
         object.__setattr__(self, "nodes", np.linspace(self.a, self.b, self.M + 1))

@@ -18,14 +18,16 @@ every table and CSV is the serial one.
 import math
 import numbers
 import os
+import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateProblemError, KgzError, ParameterError, ShapeError
-from .grid import Grid1D, grid_norms
+from .errors import DegenerateProblemError, KgzError, ParameterError, ShapeError, describe
+from .errors import positive_finite
+from .grid import Grid1D, _interval, grid_norms
 from .limits import _lockstep_metrics
 from .limits import limit_metrics, trajectory_kg  # noqa: F401  perfbench/tracer.py wraps these here
 from .presets import case_exponents, domain_for_eps, preset_initial_data
@@ -46,9 +48,7 @@ def _fmt(x):
 
 def aligned_tau(T, tau):
     """Largest step <= tau that divides T; flags whether it was adjusted."""
-    if not (0 < tau < math.inf and 0 < T < math.inf):  # NaN fails too
-        raise ParameterError(f"T and tau must be positive and finite, got T={T}, tau={tau}")
-    k = whole_steps(T, tau)
+    k = whole_steps(positive_finite("T", T), positive_finite("tau", tau))
     if k is not None and k >= 1:
         return tau, k, False
     k = math.ceil(T / tau)
@@ -57,15 +57,8 @@ def aligned_tau(T, tau):
 
 def grid_for(eps, h, domain=None):
     """Grid covering the eps-dependent domain with spacing closest to h."""
-    if not 0 < h < math.inf:  # NaN fails too
-        raise ParameterError(f"h must be positive and finite, got {h}")
-    a, b = domain_for_eps(eps) if domain is None else domain
-    if not -math.inf < a < b < math.inf:  # NaN fails too
-        raise ParameterError(f"the domain must be a finite interval, got ({a}, {b})")
-    M = round((b - a) / h)
-    if M < 2:
-        raise ParameterError(f"h={h} is too coarse for the domain ({a}, {b})")
-    return Grid1D(a, b, M)
+    a, b = _interval(*(domain_for_eps(eps) if domain is None else domain))
+    return Grid1D(a, b, round((b - a) / positive_finite("h", h)))
 
 
 def make_params(eps, alpha, beta, h, tau, T, domain=None):
@@ -183,14 +176,27 @@ _HEADER = ",".join(_COLUMNS)
 _TABLE_TITLE = "kgz sweep table"
 
 
+# a meta value or note is written with backslash, newline and carriage
+# return escaped, so that it stays on its line whatever its text
+_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+_UNESCAPES = {"n": "\n", "r": "\r"}
+
+
+def _unescape(text):
+    """The text that ``str(text).translate(_ESCAPES)`` wrote."""
+    return re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), text)
+
+
 def _write_csv(path, title, meta, header, rows, notes=()):
     """Atomically write kgz's one CSV layout.
 
     ``# title``, one ``# key=value`` line per meta item, one ``# note`` line
-    per note, the header, then one line per row. A string cell is written
-    as it is, a number in 6 significant digits and None as an empty cell.
+    per note, the header, then one line per row. A meta value and a note
+    are escaped (``_ESCAPES``), a string cell is written as it is, a number
+    in 6 significant digits and None as an empty cell.
     """
-    lines = [f"# {title}", *(f"# {k}={v}" for k, v in meta.items()), *(f"# {n}" for n in notes)]
+    lines = [f"# {title}", *(f"# {k}={str(v).translate(_ESCAPES)}" for k, v in meta.items())]
+    lines += [f"# {n.translate(_ESCAPES)}" for n in notes]
     lines.append(header)
     lines.extend(",".join(c if isinstance(c, str) else _fmt(c) for c in row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
@@ -224,7 +230,7 @@ def read_table(path):
     """Parse a sweep CSV back into a RateTable; a malformed line names its path and number."""
     try:
         with open(path, "r", newline="") as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ParameterError(f"{path} is not a kgz sweep table: {exc}") from None
     if not lines or lines[0] != f"# {_TABLE_TITLE}" or _HEADER not in lines:
@@ -236,7 +242,7 @@ def read_table(path):
             if not line or line == _HEADER:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
+                body = _unescape(line[1:].removeprefix(" "))
                 if body.startswith("failed "):
                     parts = body[len("failed ") :].split(" ", 3)
                     key = tuple(p.split("=", 1)[1] for p in parts[:3])
@@ -336,7 +342,7 @@ def _solve_task(task):
             raise ValueError(f"unknown task kind {task['kind']!r}")
         return {"ok": True, "E": snap.E, "F": snap.F, "N": snap.N, "t": snap.t}
     except KgzError as exc:
-        return {"ok": False, "message": f"{type(exc).__name__}: {exc}"}
+        return {"ok": False, "message": describe(exc)}
 
 
 def _limit_summary(params, data):
@@ -453,8 +459,7 @@ def run_sweep(spec):
                     e_err=e_err, n_err=n_err, rate_e=rate_e, rate_n=rate_n,
                 )
             except KgzError as exc:
-                message = f"{type(exc).__name__}: {exc}"
-                table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tt, message=message))
+                table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tt, message=describe(exc)))
                 prev_errs = None
                 continue
             table.rows.append(row)
@@ -503,8 +508,7 @@ def _run_eps_limit(spec, alpha, beta, tau, meta):
                 e_err=res["max_eta_e"], n_err=res["max_f_over_eps"],
             )
         except ParameterError as exc:  # a non-finite metric
-            message = f"{type(exc).__name__}: {exc}"
-            table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tau, message=message))
+            table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tau, message=describe(exc)))
             continue
         table.rows.append(row)
         points.append((eps, res["max_eta_e"]))

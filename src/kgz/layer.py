@@ -18,7 +18,6 @@ the ``fork`` start method; otherwise the stream runs in process. Either
 way every row has the bits of ``averaged_wave`` at its time.
 """
 
-import math
 import multiprocessing
 import os
 import signal
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, positive_finite
 from .grid import Grid1D
 from .transforms import dst_forward, dst_inverse
 
@@ -69,9 +68,7 @@ def decay_order(alpha, beta):
 
 
 def _check_eps(eps):
-    if not 0 < eps < math.inf:  # NaN fails too
-        raise ParameterError(f"eps must be positive and finite, got {eps}")
-    if eps > 1:
+    if positive_finite("eps", eps) > 1:
         warnings.warn(
             f"eps={eps} exceeds the analysis range (0, 1]; proceeding",
             stacklevel=3,
@@ -184,8 +181,7 @@ class InitialLayer:
         first if it still runs; should it die early, the stream goes on in
         process from the first row it did not deliver.
         """
-        if not 0 < tau < math.inf:  # here, as the producer has no way to raise into the march
-            raise ParameterError(f"tau must be positive and finite, got {tau}")
+        positive_finite("tau", tau)  # here, as the producer has no way to raise into the march
         ctx = multiprocessing.get_context("fork")
         width = self.grid.M + 1
         ring = np.frombuffer(ctx.RawArray("d", _RING_SLOTS * width)).reshape(_RING_SLOTS, width)
@@ -221,9 +217,7 @@ class InitialLayer:
 
     def _average_weights(self, tau):
         """The per-mode average factors (sin(theta tau / 2) / (theta tau / 2))^2; checks tau."""
-        if not 0 < tau < math.inf:  # NaN fails too
-            raise ParameterError(f"tau must be positive and finite, got {tau}")
-        half = 0.5 * self.theta * tau
+        half = 0.5 * self.theta * positive_finite("tau", tau)
         return (np.sin(half) / half) ** 2
 
     def amplitude_bound(self):

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .grid import GridNorms, _h1, _inf, _l2, grid_norms, inner_product
-from .solver import KgzState, Trajectory, _march_forward, _record, _stencil, _step, _step_back
-from .solver import _taylor_start, build_layer, first_state
+from .solver import KgzState, Trajectory, _march_forward, _record, _step, _taylor_start
+from .solver import build_layer, first_state, step, step_back
 from .solver import _solve_field  # noqa: F401  perfbench/tracer.py wraps this name here
 
 # time levels per reduced block; any size gives the same bits, it only
@@ -55,15 +55,12 @@ def first_state_kg(params, data, layer, use_potential=True):
 
 def step_kg(state, params, layer, use_potential=True):
     """One forward step of the limit model."""
-    potential = layer.averaged_wave(state.t_k, params.tau) if use_potential else None
-    return _step(state, _stencil(params), potential)
+    return step(state, params, layer if use_potential else None)
 
 
 def step_kg_back(state, params, layer, use_potential=True):
     """One backward step, centered at the prev level (see solver.step_back)."""
-    tau = params.tau
-    potential = layer.averaged_wave(state.t_k - tau, tau) if use_potential else None
-    return _step_back(state, _stencil(params), potential)
+    return step_back(state, params, layer if use_potential else None)
 
 
 def trajectory_kg(params, data, layer, use_potential=True):

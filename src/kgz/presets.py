@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, positive_finite
 from .solver import InitialData
 
 
@@ -86,7 +86,5 @@ def case_exponents(case, alpha=None, beta=None):
 
 def domain_for_eps(eps):
     """Truncated interval wide enough for the outgoing layer up to t ~ 1."""
-    if not 0 < eps < np.inf:  # NaN fails too
-        raise ParameterError(f"eps must be positive and finite, got {eps}")
-    half = 30.0 + 1.0 / eps
+    half = 30.0 + 1.0 / positive_finite("eps", eps)
     return -half, half

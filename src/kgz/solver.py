@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import KgzError, ParameterError, ShapeError, StabilityError
+from .errors import KgzError, ParameterError, ShapeError, StabilityError, positive_finite
 from .grid import (
     Grid1D,
     TridiagonalFactor,
@@ -81,9 +81,7 @@ class KgzParams:
 
     def __post_init__(self):
         for name in ("eps", "tau", "T"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:  # NaN fails too
-                raise ParameterError(f"{name} must be positive and finite, got {value}")
+            positive_finite(name, getattr(self, name))
         decay_order(self.alpha, self.beta)
         self.n_steps()  # reject a partial final step early
 
@@ -320,8 +318,9 @@ def _advance(E_mid, E_out, F_mid, F_out, potential, st):
 
 
 def step(state, params, layer):
-    """One forward step, centered at the curr level; it sets up its own _Stencil."""
-    return _step(state, _stencil(params), layer.averaged_wave(state.t_k, params.tau))
+    """One forward step, centered at the curr level; ``layer`` None takes no potential."""
+    potential = None if layer is None else layer.averaged_wave(state.t_k, params.tau)
+    return _step(state, _stencil(params), potential)
 
 
 def _step(s, st, potential):
@@ -335,10 +334,11 @@ def step_back(state, params, layer):
     """One backward step, centered at the prev level.
 
     The averaged potential is taken at the time of the prev level, the same
-    value the matching forward step used.
+    value the matching forward step used; ``layer`` None takes none.
     """
     tau = params.tau
-    return _step_back(state, _stencil(params), layer.averaged_wave(state.t_k - tau, tau))
+    potential = None if layer is None else layer.averaged_wave(state.t_k - tau, tau)
+    return _step_back(state, _stencil(params), potential)
 
 
 def _step_back(s, st, potential):
@@ -379,7 +379,8 @@ def _snapshot_indices(params, snapshot_times):
     K = params.n_steps()
     idx = []
     for t in snapshot_times:
-        k = whole_steps(t, params.tau)
+        # 0, the start, is the one snapshot time that is not positive
+        k = whole_steps(t and positive_finite("snapshot time", t), params.tau)
         if k is None or not 0 <= k <= K:
             q = t / params.tau
             near = sorted({max(0, min(K, int(q))), max(0, min(K, int(q) + 1))})
@@ -506,8 +507,7 @@ def nondimensionalize(v0, omega_p, c_s, n0, eps0, m, N0):
         ("m", m),
         ("N0", N0),
     ):
-        if not 0 < val < np.inf:  # NaN fails too
-            raise ParameterError(f"{name} must be positive and finite, got {val}")
+        positive_finite(name, val)
     eps = np.sqrt(3.0) * v0 / c_s
     if eps > 1:
         warnings.warn(

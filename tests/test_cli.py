@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -8,7 +10,7 @@ import pytest
 import kgz.cli
 from kgz import InitialData, presets
 from kgz.cli import main
-from kgz.harness import RateTable, read_table
+from kgz.harness import RateTable, SweepSpec, limit_study, read_table
 
 
 def read_snapshot_csv(path):
@@ -404,3 +406,34 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert "solved eps=1" in proc.stdout
+
+
+class TestLibraryDefaults:
+    """The sweep and limit-study defaults live in SweepSpec and limit_study alone."""
+
+    @staticmethod
+    def library_defaults(command):
+        if command == "sweep":
+            fields = dataclasses.fields(SweepSpec)
+            return {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+        parameters = inspect.signature(limit_study).parameters.values()
+        return {p.name: p.default for p in parameters if p.default is not p.empty}
+
+    @pytest.mark.parametrize("command", ["sweep", "limit-study"])
+    def test_cli_restates_no_library_default(self, command):
+        library = self.library_defaults(command)
+        for key, value in kgz.cli._DEFAULTS[command].items():
+            key = "out_path" if key == "out" else key
+            assert key not in library or library[key] != value, key
+
+    def test_sweep_spec_from_out_alone(self, monkeypatch):
+        specs = []
+        monkeypatch.setattr(kgz.cli, "run_sweep", lambda spec: specs.append(spec) or RateTable())
+        assert main(["sweep", "--out", "X"]) == 0
+        assert specs == [SweepSpec(mode="spatial", out_path="X")]
+
+    def test_limit_study_gets_only_given_options(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kgz.cli, "limit_study", lambda **kw: calls.append(kw))
+        assert main(["limit-study", "--out", "X", "--workers", "2"]) == 0
+        assert "T" not in calls[0] and calls[0]["workers"] == 2

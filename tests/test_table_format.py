@@ -20,8 +20,8 @@ SETTINGS = settings(
 numbers = st.floats(allow_nan=False, allow_infinity=False)
 errors = st.floats(min_value=0.0, allow_infinity=False)
 rates = st.none() | numbers
-# a note or meta line is stripped on reading, and splitlines() breaks on more
-# than newlines, so free text keeps to a safe alphabet without trailing spaces
+# plain free text: no line break and no backslash, so it is written as it
+# is (any_text below has the rest)
 text = st.text(string.ascii_letters + string.digits + " :.,=-_()'", max_size=30).map(str.rstrip)
 
 rows = st.builds(
@@ -69,3 +69,36 @@ def test_corruption_raises_only_parameter_error(tmp_path, table, changes):
     except ParameterError as exc:
         assert str(path) in str(exc)
 
+
+# any text at all: line breaks, carriage returns, backslashes and trailing spaces
+any_text = st.text(max_size=30) | st.sampled_from(
+    ["two\nlines", "crlf\r\n", "back\\slash\\n", "trailing  ", " ", "\\"]
+)
+any_tables = st.builds(
+    RateTable,
+    meta=st.dictionaries(st.text(string.ascii_lowercase + "_", min_size=1, max_size=12), any_text,
+                         max_size=5),
+    rows=st.lists(rows, max_size=3),
+    failures=st.lists(
+        st.builds(FailedRow, eps=numbers, h=numbers, tau=numbers, message=any_text),
+        max_size=4, unique_by=lambda f: (f.eps, f.h, f.tau),
+    ),
+)
+
+
+@SETTINGS
+@given(table=any_tables)
+def test_round_trip_any_text(tmp_path, table):
+    path = tmp_path / "table.csv"
+    write_table(table, str(path))
+    assert read_table(str(path)) == table
+
+
+@SETTINGS
+@given(table=tables)
+def test_plain_text_is_written_as_it_is(tmp_path, table):
+    path = tmp_path / "table.csv"
+    write_table(table, str(path))
+    lines = path.read_text().split("\n")
+    assert all(f"# {k}={v}" in lines for k, v in table.meta.items())
+    assert all(any(line.endswith(f" {f.message}") for line in lines) for f in table.failures)
