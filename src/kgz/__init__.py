@@ -47,8 +47,6 @@ from .harness import (
 )
 from .layer import InitialLayer, decay_order
 from .limits import (
-    KgState,
-    KgTrajectory,
     LimitMetrics,
     first_state_kg,
     kg_energy,

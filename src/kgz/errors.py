@@ -1,6 +1,7 @@
-"""Exception types shared across the solver and harness, and the input rule they share."""
+"""Exception types shared across the solver and harness, and the input rules they share."""
 
 import math
+import sys
 
 
 class KgzError(Exception):
@@ -54,6 +55,20 @@ def positive_finite(name, value):
     """``value`` if it is positive and finite, else a ParameterError naming it; NaN fails too."""
     if not 0 < value < math.inf:
         raise ParameterError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def countable(count, unit, inputs):
+    """``count`` cells or steps if one array can hold one value more, else a ParameterError."""
+    if not abs(count) < sys.maxsize // 8:  # float64 values numpy can index; NaN and inf fail
+        raise ParameterError(f"{inputs}: {count} {unit}, more than a numpy array can index")
+    return count
+
+
+def inverse_square_finite(name, value):
+    """``value`` if ``1/value^2`` is finite, else a ParameterError naming it."""
+    if not (value * value > 0 and 1.0 / (value * value) < math.inf):
+        raise ParameterError(f"{name}={value} is too small: 1/{name}^2 is not finite")
     return value
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import IllConditionedError, ParameterError, ShapeError, SingularSystemError
+from .errors import countable, inverse_square_finite
 
 RESIDUAL_TOL = 1e-12
 _TINY = np.finfo(float).tiny
@@ -45,8 +46,9 @@ class Grid1D:
     def __post_init__(self):
         if not isinstance(self.M, numbers.Integral) or self.M < 2:
             raise ParameterError(f"need an integer M >= 2 cells, got M={self.M!r}")
+        countable(self.M, "cells", "a Grid1D")
         _interval(self.a, self.b)
-        object.__setattr__(self, "h", (self.b - self.a) / self.M)
+        object.__setattr__(self, "h", inverse_square_finite("h", (self.b - self.a) / self.M))
         # linspace pins both endpoints exactly
         object.__setattr__(self, "nodes", np.linspace(self.a, self.b, self.M + 1))
 
@@ -75,13 +77,8 @@ def second_difference(u, grid):
     """Centered second difference; boundary rows of the result are zero."""
     u = _require_grid_fn(u, grid)
     v = np.zeros_like(u)
-    v[1:-1] = second_difference_interior(u, grid)
+    v[1:-1] = _second_difference(u, grid.h**2)
     return v
-
-
-def second_difference_interior(u, grid):
-    """Centered second difference at the M - 1 interior nodes only."""
-    return _second_difference(_require_grid_fn(u, grid), grid.h**2)
 
 
 def _second_difference(u, h2):

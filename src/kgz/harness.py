@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateProblemError, KgzError, ParameterError, ShapeError, describe
-from .errors import positive_finite
+from .errors import countable, positive_finite
 from .grid import Grid1D, _interval, grid_norms
 from .limits import _lockstep_metrics
 from .limits import limit_metrics, trajectory_kg  # noqa: F401  perfbench/tracer.py wraps these here
@@ -58,7 +58,8 @@ def aligned_tau(T, tau):
 def grid_for(eps, h, domain=None):
     """Grid covering the eps-dependent domain with spacing closest to h."""
     a, b = _interval(*(domain_for_eps(eps) if domain is None else domain))
-    return Grid1D(a, b, round((b - a) / positive_finite("h", h)))
+    inputs = f"h={h} on ({a:g}, {b:g}) at eps={eps}"
+    return Grid1D(a, b, round(countable((b - a) / positive_finite("h", h), "cells", inputs)))
 
 
 def make_params(eps, alpha, beta, h, tau, T, domain=None):
@@ -265,6 +266,19 @@ def read_table(path):
     return table
 
 
+_PAPER_EPS = tuple(0.5**i for i in range(9))
+_LIMIT_DEFAULTS = dict(h0=0.05, tau0=1e-3, levels=2, eps_list=tuple(0.5**i for i in range(2, 7)))
+# the defaults of a sweep by (mode, paper_scale); eps_limit has no paper scale
+_SWEEP_DEFAULTS = {
+    ("spatial", False): dict(h0=0.2, tau0=1e-4, levels=4, eps_list=(1.0, 0.25, 0.0625)),
+    ("spatial", True): dict(h0=0.2, tau0=1e-5, levels=6, eps_list=_PAPER_EPS),
+    ("temporal", False): dict(h0=0.005, tau0=0.05, levels=6, eps_list=(1.0, 0.0625)),
+    ("temporal", True): dict(h0=2.5e-4, tau0=0.05, levels=8, eps_list=_PAPER_EPS),
+    ("eps_limit", False): _LIMIT_DEFAULTS,
+    ("eps_limit", True): _LIMIT_DEFAULTS,
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     mode: str
@@ -284,34 +298,13 @@ class SweepSpec:
     paper_scale: bool = False
 
     def resolved(self):
-        """Fill mode-dependent defaults; an explicit value always wins."""
-        if self.mode not in ("spatial", "temporal", "eps_limit"):
+        """Fill the defaults of ``_SWEEP_DEFAULTS``; an explicit value always wins."""
+        defaults = _SWEEP_DEFAULTS.get((self.mode, bool(self.paper_scale)))
+        if defaults is None:
             raise ParameterError(f"unknown sweep mode {self.mode!r}")
-        d = {}
-        if self.mode == "spatial":
-            d["h0"], d["tau0"], d["levels"] = 0.2, 1e-4, 4
-            d["eps_list"] = (1.0, 0.25, 0.0625)
-            if self.paper_scale:
-                d["tau0"] = 1e-5
-                d["levels"] = 6
-                d["eps_list"] = tuple(0.5**i for i in range(9))
-        elif self.mode == "temporal":
-            d["h0"], d["tau0"], d["levels"] = 0.005, 0.05, 6
-            d["eps_list"] = (1.0, 0.0625)
-            if self.paper_scale:
-                d["h0"] = 2.5e-4
-                d["levels"] = 8
-                d["eps_list"] = tuple(0.5**i for i in range(9))
-        else:
-            d["h0"], d["tau0"], d["levels"] = 0.05, 1e-3, 2
-            d["eps_list"] = tuple(0.5**i for i in range(2, 7))
-        out = replace(
-            self,
-            h0=self.h0 if self.h0 is not None else d["h0"],
-            tau0=self.tau0 if self.tau0 is not None else d["tau0"],
-            levels=self.levels if self.levels is not None else d["levels"],
-            eps_list=tuple(self.eps_list) if self.eps_list is not None else d["eps_list"],
-        )
+        given = {name: getattr(self, name) for name in defaults if getattr(self, name) is not None}
+        out = replace(self, **{**defaults, **given})
+        out = replace(out, eps_list=tuple(out.eps_list))
         _check_count(out.levels, "levels", 2)
         _check_count(out.workers, "workers", 1)
         _check_refine(out.refine_space, "refine_space")

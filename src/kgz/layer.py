@@ -115,10 +115,9 @@ class InitialLayer:
         )
 
     def wave(self, t):
-        """Layer wave at time t >= 0 as a grid function."""
-        phase = self.theta * t
-        modes = self.amp0 * np.cos(phase) + self.amp1 * np.sin(phase)
-        return dst_inverse(modes, self.grid)
+        """Layer wave at time t >= 0 as a grid function: one row of unit weight."""
+        rows = np.empty((2, 1, self.grid.M - 1))
+        return self._averaged_block(np.array([t]), 1.0, *rows)[0]
 
     def averaged_wave(self, t, tau):
         """Triangular-kernel average of the wave over [t - tau, t + tau].
@@ -132,9 +131,9 @@ class InitialLayer:
     def _averaged_block(self, times, weights, phase, modes):
         """``averaged_wave`` at each of ``times``, one row each, from one DST call.
 
-        ``weights`` are ``_average_weights(tau)``, and ``phase`` and
-        ``modes`` scratch of shape (len(times), M - 1). Each element goes
-        through the products and sums of
+        ``weights`` are ``_average_weights(tau)``, or 1.0 for ``wave``, and
+        ``phase`` and ``modes`` scratch of shape (len(times), M - 1). Each
+        element goes through the products and sums of
         ``weight * (amp0 cos(theta t) + amp1 sin(theta t))`` whatever the
         number of rows, so a row has the bits of ``averaged_wave`` at its time.
         """

@@ -6,8 +6,6 @@ types of its own: its states and trajectories are those of
 :mod:`kgz.solver` with F None, and its start and steps are the solver's
 with F = 0 and no density solve, so differences between the two
 trajectories measure the coupling effect rather than scheme differences.
-``KgState`` and ``KgTrajectory`` remain as other names for
-:class:`~kgz.solver.KgzState` and :class:`~kgz.solver.Trajectory`.
 
 The diagnostics (:class:`LimitMetrics`) are reduced level by level as the
 levels are produced, in blocks of ``_BLOCK`` levels: the norms of a level
@@ -31,16 +29,13 @@ import numpy as np
 
 from .errors import ShapeError
 from .grid import GridNorms, _h1, _inf, _l2, grid_norms, inner_product
-from .solver import KgzState, Trajectory, _march_forward, _record, _step, _taylor_start
+from .solver import KgzState, _march_forward, _record, _step, _taylor_start
 from .solver import build_layer, first_state, step, step_back
 from .solver import _solve_field  # noqa: F401  perfbench/tracer.py wraps this name here
 
 # time levels per reduced block; any size gives the same bits, it only
 # trades the block's memory against numpy calls per level
 _BLOCK = 16
-
-KgState = KgzState
-KgTrajectory = Trajectory
 
 
 def first_state_kg(params, data, layer, use_potential=True):

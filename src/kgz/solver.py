@@ -9,8 +9,8 @@ then F, whose source term consumes the freshly computed field level.
 The scheme is one symmetric three-level stencil, written once in
 ``_advance``; backward steps swap its outer levels. The eps -> 0+ limit
 model of :mod:`kgz.limits` is the same stencil with F = 0 and no density
-solve, and one state type, :class:`KgzState` with F None, so ``_step``,
-``_step_back`` and ``_record`` serve both models. One generator,
+solve, and one state type, :class:`KgzState` with F None, so ``step``,
+``step_back``, ``_step`` and ``_record`` serve both models. One generator,
 ``march``, owns the time loop of every driver, and ``_march_forward``
 sets every forward run up once: it builds the run's ``_Stencil`` and opens
 the layer's stream of averaged potentials, which depend on the time alone
@@ -42,7 +42,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import KgzError, ParameterError, ShapeError, StabilityError, positive_finite
+from .errors import KgzError, ParameterError, ShapeError, StabilityError
+from .errors import countable, inverse_square_finite, positive_finite
 from .grid import (
     Grid1D,
     TridiagonalFactor,
@@ -65,7 +66,7 @@ ALIGN_RTOL = 1e-9
 
 def whole_steps(t, tau):
     """k when t is k whole steps of tau within ALIGN_RTOL, else None; k may be 0 or negative."""
-    q = t / tau
+    q = countable(t / tau, "steps", f"t={t} and tau={tau}")
     k = round(q)
     return int(k) if abs(q - k) <= ALIGN_RTOL * max(1.0, abs(q)) else None
 
@@ -82,6 +83,8 @@ class KgzParams:
     def __post_init__(self):
         for name in ("eps", "tau", "T"):
             positive_finite(name, getattr(self, name))
+        for name in ("eps", "tau"):  # the stencil divides by their squares
+            inverse_square_finite(name, getattr(self, name))
         decay_order(self.alpha, self.beta)
         self.n_steps()  # reject a partial final step early
 
@@ -331,21 +334,18 @@ def _step(s, st, potential):
 
 
 def step_back(state, params, layer):
-    """One backward step, centered at the prev level.
+    """One backward step, centered at the prev level: ``_advance`` with the outer levels swapped.
 
     The averaged potential is taken at the time of the prev level, the same
     value the matching forward step used; ``layer`` None takes none.
     """
     tau = params.tau
     potential = None if layer is None else layer.averaged_wave(state.t_k - tau, tau)
-    return _step_back(state, _stencil(params), potential)
-
-
-def _step_back(s, st, potential):
-    """``step_back`` with the run's _Stencil and the potential at the prev level given."""
-    E, F = _advance(s.E_prev, s.E_curr, s.F_prev, s.F_curr, potential, st)
-    k = s.k - 1
-    return KgzState(k=k, t_k=k * st.tau, E_prev=E, E_curr=s.E_prev, F_prev=F, F_curr=s.F_prev)
+    E, F = _advance(
+        state.E_prev, state.E_curr, state.F_prev, state.F_curr, potential, _stencil(params)
+    )
+    k = state.k - 1
+    return KgzState(k=k, t_k=k * tau, E_prev=E, E_curr=state.E_prev, F_prev=F, F_curr=state.F_prev)
 
 
 def march(state, advance, n_steps):

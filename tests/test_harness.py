@@ -34,6 +34,17 @@ from kgz import presets
 from kgz.harness import ErrorRow, FailedRow, RateTable, _limit_tasks, _solve_task
 from kgz.presets import preset_initial_data
 
+PAPER_EPS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625)
+# (h0, tau0, levels, eps_list) of a SweepSpec that gives none of them, per (mode, paper_scale)
+SWEEP_DEFAULTS = {
+    ("spatial", False): (0.2, 1e-4, 4, (1.0, 0.25, 0.0625)),
+    ("spatial", True): (0.2, 1e-5, 6, PAPER_EPS),
+    ("temporal", False): (0.005, 0.05, 6, (1.0, 0.0625)),
+    ("temporal", True): (2.5e-4, 0.05, 8, PAPER_EPS),
+    ("eps_limit", False): (0.05, 1e-3, 2, (0.25, 0.125, 0.0625, 0.03125, 0.015625)),
+    ("eps_limit", True): (0.05, 1e-3, 2, (0.25, 0.125, 0.0625, 0.03125, 0.015625)),
+}
+
 
 class TestAlignedTau:
     def test_already_aligned(self):
@@ -401,6 +412,20 @@ class TestRunSweep:
         table = run_sweep(spec)
         assert [f.eps for f in table.failures] == [0.25]
         assert [r.eps for r in table.rows] == [0.125]
+
+    @pytest.mark.parametrize("mode, paper_scale", list(SWEEP_DEFAULTS))
+    def test_defaults(self, mode, paper_scale):
+        spec = SweepSpec(mode=mode, paper_scale=paper_scale).resolved()
+        got = (spec.h0, spec.tau0, spec.levels, spec.eps_list)
+        assert got == SWEEP_DEFAULTS[mode, paper_scale]
+
+    @pytest.mark.parametrize("mode, paper_scale", list(SWEEP_DEFAULTS))
+    @pytest.mark.parametrize("name, value", [("h0", 0.3), ("tau0", 0.02), ("levels", 3),
+                                             ("eps_list", (0.5,))])
+    def test_explicit_value_wins(self, mode, paper_scale, name, value):
+        spec = SweepSpec(mode=mode, paper_scale=paper_scale, **{name: value}).resolved()
+        defaults = dict(zip(("h0", "tau0", "levels", "eps_list"), SWEEP_DEFAULTS[mode, paper_scale]))
+        assert {key: getattr(spec, key) for key in defaults} == {**defaults, name: value}
 
     def test_spec_validation(self):
         with pytest.raises(ParameterError):

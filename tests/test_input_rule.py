@@ -3,7 +3,9 @@
 Each case feeds NaN, +-inf, zero, negative values and one valid control
 (None below) into one input and holds the others valid. A value that
 breaks the rule must raise ParameterError, and the control must return.
-Snapshot times are the one input where 0 (the start) is legal.
+Snapshot times are the one input where 0 (the start) is legal. Sizes
+beyond double precision close the file: a cell or step count no array can
+index, or an inverse square that is not finite, is a ParameterError too.
 """
 
 import math
@@ -27,6 +29,7 @@ from kgz import (
     run,
 )
 from kgz.cli import main
+from kgz.solver import whole_steps
 
 SETTINGS = settings(
     max_examples=15,
@@ -134,3 +137,43 @@ def test_non_finite_snapshot_exits_1(tmp_path, capsys, time):
     argv = ["solve", "--h=1", "--tau=0.05", "--T=0.1", f"--snapshots={time}"]
     assert main([*argv, f"--out={tmp_path / 's'}"]) == 1
     assert "snapshot time must be positive and finite" in capsys.readouterr().err
+
+
+# sizes beyond double precision: a cell or step count that numpy cannot index,
+# or a 1/h^2, 1/tau^2 or 1/eps^2 that is not finite, is a bad input named in
+# the message; each value beside its flags is the input the message names
+BEYOND_DOUBLE = {
+    "--h=1e-320": "h=1e-320",
+    "--h=1e-200": "h=1e-200",
+    "--eps=1e-300": "eps=1e-300",
+    "--tau=1e-320 --T=1": "tau=1e-320",
+    "--T=1e-170 --tau=1e-170": "tau=1e-170",
+    "--domain=0,1e-170 --h=1e-171": "h=1e-171",
+    "--T=2e-160 --tau=1e-160": "tau=1e-160",
+    "--eps=1e-170 --domain=-1,1": "eps=1e-170",
+}
+
+
+@pytest.mark.parametrize("flags", BEYOND_DOUBLE)
+def test_cli_size_beyond_double_exits_1(tmp_path, capsys, flags):
+    assert main(["solve", *flags.split(), f"--out={tmp_path / 's'}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: ") and BEYOND_DOUBLE[flags] in err, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Grid1D(0.0, 1.0, 2**62),
+        lambda: Grid1D(0.0, 1e-170, 10),
+        lambda: whole_steps(1e300, 1e-3),
+        lambda: aligned_tau(1.0, 1e-320),
+        lambda: KgzParams(**{**PARAMS, "tau": 1e-160, "T": 2e-160}),
+        lambda: KgzParams(**{**PARAMS, "eps": 1e-170}),
+    ],
+    ids=["Grid1D.M", "Grid1D.h", "whole_steps", "aligned_tau", "KgzParams.tau", "KgzParams.eps"],
+)
+def test_size_beyond_double_is_a_parameter_error(call):
+    with pytest.raises(ParameterError, match="numpy array can index|is not finite"):
+        call()

@@ -29,7 +29,7 @@ from kgz import (
 import kgz.limits
 from kgz.checks import whole_trajectory_limit
 from kgz.harness import _limit_summary, make_params
-from kgz.limits import KgTrajectory, _time_derivatives
+from kgz.limits import _time_derivatives
 from kgz.presets import preset_initial_data
 
 
@@ -114,9 +114,7 @@ class TestStep:
         amp = 1e-8
         bump = amp * np.exp(-(x**2)) * np.sin(np.pi * x / 2.0)
         bump[0] = bump[-1] = 0.0
-        from kgz.limits import KgState
-
-        state = KgState(k=1, t_k=0.01, E_prev=bump.copy(), E_curr=bump.copy())
+        state = KgzState(k=1, t_k=0.01, E_prev=bump.copy(), E_curr=bump.copy())
         out = step_kg(state, params, layer, use_potential=False)
         n = grid.M - 1
         h, tau = grid.h, params.tau
@@ -181,7 +179,7 @@ class TestLimitMetrics:
         params = toy_params(eps=0.5, M=32, tau=0.05, T=0.5)
         layer = build_layer(params, data)
         coupled = trajectory(params, data)
-        twin = KgTrajectory(eps=coupled.eps, times=coupled.times, E=coupled.E.copy())
+        twin = Trajectory(eps=coupled.eps, times=coupled.times, E=coupled.E.copy())
         metrics = limit_metrics(coupled, twin, params.grid, params.tau)
         assert np.all(metrics.eta_e == 0.0)
 
@@ -204,7 +202,7 @@ class TestLimitMetrics:
         params = toy_params(tau=0.05, T=0.5)
         layer = build_layer(params, ZERO_DATA)
         coupled = trajectory(params, ZERO_DATA)
-        twin = KgTrajectory(eps=coupled.eps, times=coupled.times, E=coupled.E.copy())
+        twin = Trajectory(eps=coupled.eps, times=coupled.times, E=coupled.E.copy())
         metrics = limit_metrics(coupled, twin, params.grid, params.tau)
         assert np.all(metrics.eta_2 == 0.0)
         assert np.all(metrics.eta_inf == 0.0)
@@ -220,7 +218,7 @@ class TestLimitMetrics:
         F = eps * np.sin(times)[:, None] * phi[None, :]
         E = np.zeros_like(F)
         coupled = Trajectory(eps=eps, times=times, E=E, F=F)
-        twin = KgTrajectory(eps=eps, times=times, E=E.copy())
+        twin = Trajectory(eps=eps, times=times, E=E.copy())
         metrics = limit_metrics(coupled, twin, grid, tau)
         norms = grid_norms(phi, grid)
         for k in range(2, K - 1):
@@ -242,7 +240,7 @@ class TestLimitMetrics:
         grid = Grid1D(0.0, 1.0, 8)
         times = np.arange(5) * 0.1
         traj = Trajectory(eps=0.5, times=times, E=np.zeros((5, 9)), F=np.zeros((5, 9)))
-        short = KgTrajectory(eps=0.5, times=times[:-1], E=np.zeros((4, 9)))
+        short = Trajectory(eps=0.5, times=times[:-1], E=np.zeros((4, 9)))
         with pytest.raises(ShapeError):
             limit_metrics(traj, short, grid, 0.1)
 

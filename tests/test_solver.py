@@ -39,7 +39,6 @@ from kgz import (
 import kgz.layer
 import kgz.limits
 import kgz.solver
-from kgz.grid import second_difference_interior
 from kgz.limits import _lockstep_metrics
 from kgz.presets import preset_initial_data
 from kgz.solver import _stencil, _step, march
@@ -218,7 +217,7 @@ def formula_step(state, params, layer):
     diag = inv_t2 + 0.5 * c[1:-1] + 1.0 / grid.h**2
     off = np.full(grid.M - 2, -0.5 * (1.0 / grid.h**2))
     rhs = (2.0 * E[1:-1] - E_prev[1:-1]) * inv_t2 + 0.5 * (
-        second_difference_interior(E_prev, grid) - c[1:-1] * E_prev[1:-1]
+        second_difference(E_prev, grid)[1:-1] - c[1:-1] * E_prev[1:-1]
     )
     E_next = grid.zeros()
     E_next[1:-1] = solve_tridiagonal(off, diag, off, rhs, require_dominant=False)
@@ -228,7 +227,7 @@ def formula_step(state, params, layer):
     dt2_E2 = (E_next**2 - 2.0 * E**2 + E_prev**2) / tau**2
     rhs = (
         (2.0 * F[1:-1] - F_prev[1:-1]) * inv_t2
-        + s * second_difference_interior(F_prev, grid)
+        + s * second_difference(F_prev, grid)[1:-1]
         + dt2_E2[1:-1]
     )
     s_h2 = s / grid.h**2
