@@ -112,9 +112,6 @@ _DEFAULTS = {
         "case": "custom",
         "alpha": 0.0,
         "beta": 0.0,
-        "eps_list": (0.25, 0.125, 0.0625, 0.03125, 0.015625),
-        "h": 0.05,
-        "tau": 1e-3,
         "out": "kgz_limit.csv",
     },
 }
@@ -164,18 +161,16 @@ def _cmd_solve(opt):
     return 0
 
 
-def _given(opt, *names):
-    """Keyword arguments of the given (not None) options among ``names``; out is out_path."""
-    given = {name: getattr(opt, name) for name in names if getattr(opt, name) is not None}
+def _given(opt):
+    """Keyword arguments of the given (not None) parsed options; out is out_path."""
+    given = {k: v for k, v in vars(opt).items() if v is not None and k not in ("command", "config")}
     if "out" in given:
         given["out_path"] = given.pop("out")
     return given
 
 
 def _cmd_sweep(opt):
-    options = _given(opt, "preset", "case", "alpha", "beta", "eps_list", "h0", "tau0", "levels",
-                     "T", "out", "workers", "paper_scale")
-    spec = SweepSpec(mode=opt.mode.replace("-", "_"), **options)
+    spec = SweepSpec(**dict(_given(opt), mode=opt.mode.replace("-", "_")))
     table = run_sweep(spec)
     print(f"wrote {opt.out} with {len(table.rows)} rows", end="")
     if table.failures:
@@ -187,9 +182,7 @@ def _cmd_sweep(opt):
 
 
 def _cmd_limit_study(opt):
-    options = _given(opt, "preset", "case", "eps_list", "h", "tau", "T", "alpha", "beta", "out",
-                     "workers")
-    slope = limit_study(**options)
+    slope = limit_study(**_given(opt))
     print(f"wrote {opt.out}; eta_e slope vs eps: {slope if slope is None else f'{slope:.3f}'}")
     return 0
 

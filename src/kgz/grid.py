@@ -12,6 +12,7 @@ whether to refine the same way whatever the BLAS build and thread count.
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,6 +33,16 @@ def _interval(a, b):
     return a, b
 
 
+def _cells(count, inputs):
+    """``count`` cells if numpy can index them and their float64 nodes fit in physical memory."""
+    countable(count, "cells", inputs)
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 8 * (count + 1) > memory:
+        raise ParameterError(f"{inputs}: {count:g} cells, whose nodes need {8 * (count + 1) / 2**30:.3g}"
+                             f" GiB, more than the {memory / 2**30:.3g} GiB of physical memory")
+    return count
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform mesh with M cells on [a, b]; nodes x_j = a + j*h, j = 0..M."""
@@ -46,7 +57,7 @@ class Grid1D:
     def __post_init__(self):
         if not isinstance(self.M, numbers.Integral) or self.M < 2:
             raise ParameterError(f"need an integer M >= 2 cells, got M={self.M!r}")
-        countable(self.M, "cells", "a Grid1D")
+        _cells(self.M, "a Grid1D")
         _interval(self.a, self.b)
         object.__setattr__(self, "h", inverse_square_finite("h", (self.b - self.a) / self.M))
         # linspace pins both endpoints exactly

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateProblemError, KgzError, ParameterError, ShapeError, describe
-from .errors import countable, positive_finite
-from .grid import Grid1D, _interval, grid_norms
+from .errors import positive_finite
+from .grid import Grid1D, _cells, _interval, grid_norms
 from .limits import _lockstep_metrics
 from .limits import limit_metrics, trajectory_kg  # noqa: F401  perfbench/tracer.py wraps these here
 from .presets import case_exponents, domain_for_eps, preset_initial_data
@@ -59,22 +59,13 @@ def grid_for(eps, h, domain=None):
     """Grid covering the eps-dependent domain with spacing closest to h."""
     a, b = _interval(*(domain_for_eps(eps) if domain is None else domain))
     inputs = f"h={h} on ({a:g}, {b:g}) at eps={eps}"
-    return Grid1D(a, b, round(countable((b - a) / positive_finite("h", h), "cells", inputs)))
+    return Grid1D(a, b, round(_cells((b - a) / positive_finite("h", h), inputs)))
 
 
 def make_params(eps, alpha, beta, h, tau, T, domain=None):
     return KgzParams(
         eps=eps, alpha=alpha, beta=beta, grid=grid_for(eps, h, domain), tau=tau, T=T
     )
-
-
-def _check_eps_list(eps_list):
-    """The eps rule of every sweep and limit study: at least one eps, each in (0, 1]."""
-    if not eps_list:
-        raise ParameterError("the eps list is empty")
-    for eps in eps_list:
-        if not 0 < eps <= 1:  # NaN fails too
-            raise ParameterError(f"eps values must lie in (0, 1], got {eps}")
 
 
 def _check_count(value, name, least):
@@ -309,7 +300,11 @@ class SweepSpec:
         _check_count(out.workers, "workers", 1)
         _check_refine(out.refine_space, "refine_space")
         _check_refine(out.refine_time, "refine_time")
-        _check_eps_list(out.eps_list)
+        if not out.eps_list:
+            raise ParameterError("the eps list is empty")
+        for eps in out.eps_list:
+            if not 0 < eps <= 1:  # NaN fails too
+                raise ParameterError(f"eps values must lie in (0, 1], got {eps}")
         return out
 
     def exponents(self):
@@ -398,12 +393,17 @@ def run_sweep(spec):
         meta["tau_adjusted"] = f"{tau:.17g}"
 
     if spec.mode == "eps_limit":
-        return _run_eps_limit(spec, alpha, beta, tau, meta)
+        return _run_eps_limit(spec, alpha, beta, tau, meta)[0]
 
     spatial = spec.mode == "spatial"
     # a reference refines the direction the sweep studies
     ref_kw = {"refine_space": spec.refine_space if spatial else 1,
               "refine_time": 1 if spatial else spec.refine_time}
+    if spatial:  # the finest reference must fit before any level's grid is built (inf past 2^1023)
+        for eps in spec.eps_list:
+            finest = grid_for(eps, spec.h0).M * spec.refine_space * 2.0 ** min(spec.levels - 1, 1023)
+            _cells(finest, f"the finest reference of h0={spec.h0}, levels={spec.levels} and "
+                           f"refine_space={spec.refine_space} at eps={eps}")
     factors = [2**i for i in range(spec.levels)]
     tasks = []
     groups = []  # (eps, the (grid, tau) of each level, coarsest first) per eps
@@ -465,7 +465,7 @@ def run_sweep(spec):
 
 def _limit_tasks(preset, alpha, beta, eps_list, h, tau, T):
     """One ``kind="limit"`` task per eps, largest eps first; ``tau`` must divide ``T``."""
-    if whole_steps(T, tau) < 3:  # the one check of both front ends, before any task runs
+    if whole_steps(T, tau) < 3:  # checked before any task runs
         raise ParameterError(
             "limit metrics need at least 4 time levels; decrease tau or increase T"
         )
@@ -475,68 +475,60 @@ def _limit_tasks(preset, alpha, beta, eps_list, h, tau, T):
     ]
 
 
-def _eta_slope(points):
-    """Slope of log2 max_eta_e against log2 eps; None below two (eps, max_eta_e) points."""
-    if len(points) < 2:
-        return None
-    xs, ys = ([math.log2(v) for v in column] for column in zip(*points))
-    return float(np.polyfit(np.asarray(xs), np.asarray(ys), 1)[0])
-
-
 def _run_eps_limit(spec, alpha, beta, tau, meta):
+    """The table (written to ``spec.out_path``), the (eps, result) pairs and the eta_e slope.
+
+    A failed task, or a maximum that is not finite, fails its eps: a
+    ``FailedRow`` in the table, and a result ``ok=False`` with its message.
+    """
     tasks = _limit_tasks(spec.preset, alpha, beta, spec.eps_list, spec.h0, tau, spec.T)
-    results = _run_tasks(tasks, spec.workers)
-    table = RateTable(meta=meta)
     meta["eps_limit_columns"] = "e_err:max_eta_e,n_err:max_f_l2_over_eps"
-    points = []
-    for task, res in zip(tasks, results):
+    table = RateTable(meta=meta)
+    outcomes = []
+    for task, res in zip(tasks, _run_tasks(tasks, spec.workers)):
         eps = task["eps"]
-        grid = grid_for(eps, spec.h0)
+        h = grid_for(eps, spec.h0).h
+        if res["ok"]:
+            try:
+                table.rows.append(ErrorRow(eps=eps, h=h, tau=tau, t=res["t_max"],
+                                           e_err=res["max_eta_e"], n_err=res["max_f_over_eps"]))
+            except ParameterError as exc:  # a non-finite maximum
+                res = {"ok": False, "message": describe(exc)}
         if not res["ok"]:
-            table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tau, message=res["message"]))
-            continue
-        try:
-            row = ErrorRow(
-                eps=eps, h=grid.h, tau=tau, t=res["t_max"],
-                e_err=res["max_eta_e"], n_err=res["max_f_over_eps"],
-            )
-        except ParameterError as exc:  # a non-finite metric
-            table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tau, message=describe(exc)))
-            continue
-        table.rows.append(row)
-        points.append((eps, res["max_eta_e"]))
-    slope = _eta_slope(points)
+            table.failures.append(FailedRow(eps=eps, h=h, tau=tau, message=res["message"]))
+        outcomes.append((eps, res))
+    # the slope of log2 max_eta_e against log2 eps, fitted from two good eps on
+    points = [(math.log2(eps), math.log2(res["max_eta_e"])) for eps, res in outcomes if res["ok"]]
+    slope = float(np.polyfit(*np.array(points).T, 1)[0]) if len(points) > 1 else None
     if slope is not None:
         meta["eta_slope"] = f"{_f6(slope):.5E}"
     if spec.out_path:
         write_table(table, spec.out_path)
-    return table
+    return table, outcomes, slope
 
 
-def limit_study(preset, case, eps_list, h, tau, T=1.0, alpha=None, beta=None, out_path=None, workers=1):
-    """Full limit-metric curves per eps, written as a long-format CSV.
+def limit_study(preset, case, eps_list=None, h=None, tau=None, T=1.0, alpha=None, beta=None,
+                out_path=None, workers=1):
+    """The eps-limit sweep of ``SweepSpec(mode="eps_limit", h0=h, tau0=tau, ...)``, as curves.
 
-    Returns the slope of log2 max eta_e against log2 eps (None below two eps).
+    Writes the limit-metric curves of every eps to ``out_path``, all or
+    nothing: the first failed eps raises a KgzError naming it, and no CSV is
+    written. Returns the slope of log2 max eta_e against log2 eps (None below two eps).
     """
-    _check_eps_list(eps_list)
-    _check_count(workers, "workers", 1)
-    alpha, beta = case_exponents(case, alpha, beta)
-    tau, _, _ = aligned_tau(T, tau)
-    tasks = _limit_tasks(preset, alpha, beta, eps_list, h, tau, T)
-    results = _run_tasks(tasks, workers)
-    points = []
+    spec = SweepSpec(mode="eps_limit", preset=preset, case=case, alpha=alpha, beta=beta,
+                     eps_list=eps_list, h0=h, tau0=tau, T=T, workers=workers).resolved()
+    alpha, beta = spec.exponents()
+    tau = aligned_tau(spec.T, spec.tau0)[0]
+    _, outcomes, slope = _run_eps_limit(spec, alpha, beta, tau, {})
     rows = []
-    for task, res in zip(tasks, results):
-        eps = task["eps"]
+    for eps, res in outcomes:
         if not res["ok"]:
             raise KgzError(f"limit run failed for eps={eps}: {res['message']}")
         curves = res["curves"]
-        points.append((eps, res["max_eta_e"]))
         columns = (curves.times, curves.eta_2, curves.eta_inf, curves.eta_e)
         rows.extend((eps, *row) for row in zip(*columns))
-    slope = _eta_slope(points)
     meta = {"preset": preset, "case": case, "alpha": f"{alpha:g}", "beta": f"{beta:g}",
-            "h": f"{h:g}", "tau": f"{tau:.17g}", "T": f"{T:g}"}
+            "h": f"{spec.h0:g}", "tau": f"{tau:.17g}", "T": f"{T:g}"}
     if slope is not None:
         meta["eta_slope"] = f"{slope:.6f}"
     if out_path:

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import json
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import kgz.cli
+import kgz.harness
 from kgz import InitialData, presets
 from kgz.cli import main
 from kgz.harness import RateTable, SweepSpec, limit_study, read_table
@@ -245,6 +247,25 @@ class TestLimitStudy:
         assert "numerical failure" in err and "k=5, t=1.25" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_metric_exits_2_and_writes_no_csv(self, tmp_path, monkeypatch, capsys):
+        real = kgz.harness._run_tasks
+
+        def nan_metric(tasks, workers):
+            results = real(tasks, workers)
+            results[0] = dict(results[0], max_eta_e=float("nan"))
+            return results
+
+        monkeypatch.setattr(kgz.harness, "_run_tasks", nan_metric)
+        code = main(
+            [
+                "limit-study", "--preset", "gauss_sech", "--case", "I", "--eps-list", "0.25,0.125",
+                "--h", "0.5", "--tau", "0.05", "--T", "0.25", "--out", str(tmp_path / "limit.csv"),
+            ]
+        )
+        assert code == 2
+        assert "numerical failure: KgzError: limit run failed for eps=0.25" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_curves(self, tmp_path):
         out = tmp_path / "limit.csv"
         code = main(
@@ -425,6 +446,17 @@ class TestLibraryDefaults:
         for key, value in kgz.cli._DEFAULTS[command].items():
             key = "out_path" if key == "out" else key
             assert key not in library or library[key] != value, key
+
+    @pytest.mark.parametrize("command", ["sweep", "limit-study"])
+    def test_every_option_names_a_library_input(self, command):
+        if command == "sweep":
+            library = {f.name for f in dataclasses.fields(SweepSpec)}
+        else:
+            library = set(inspect.signature(limit_study).parameters)
+        (commands,) = [a for a in kgz.cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        options = {a.dest for a in commands.choices[command]._actions} - {"help", "config"}
+        assert {"out_path" if o == "out" else o for o in options} <= library
 
     def test_sweep_spec_from_out_alone(self, monkeypatch):
         specs = []

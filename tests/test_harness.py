@@ -12,6 +12,7 @@ from kgz import (
     Grid1D,
     IllConditionedError,
     InitialData,
+    KgzError,
     KgzParams,
     ParameterError,
     ShapeError,
@@ -412,6 +413,44 @@ class TestRunSweep:
         table = run_sweep(spec)
         assert [f.eps for f in table.failures] == [0.25]
         assert [r.eps for r in table.rows] == [0.125]
+
+    def test_limit_study_non_finite_metric_raises_and_writes_nothing(self, tmp_path, monkeypatch):
+        real = kgz.harness._run_tasks
+
+        def nan_metric(tasks, workers):
+            results = real(tasks, workers)
+            results[0] = dict(results[0], max_eta_e=float("nan"))
+            return results
+
+        monkeypatch.setattr(kgz.harness, "_run_tasks", nan_metric)
+        out = tmp_path / "limit.csv"
+        with pytest.raises(KgzError, match=r"eps=0\.25: ParameterError: e_err must be finite"):
+            limit_study("gauss_sech", "I", (0.25, 0.125), 0.5, 0.05, T=0.25, out_path=str(out))
+        assert not out.exists()
+
+    def test_limit_study_defaults_are_the_sweep_table(self, monkeypatch):
+        submitted = []
+
+        class Submitted(Exception):
+            pass
+
+        def capture(tasks, workers):
+            submitted.extend(tasks)
+            raise Submitted
+
+        monkeypatch.setattr(kgz.harness, "_run_tasks", capture)
+        with pytest.raises(Submitted):
+            limit_study("bump", "custom", alpha=0.0, beta=0.0)
+        defaults = kgz.harness._SWEEP_DEFAULTS[("eps_limit", False)]
+        assert submitted == _limit_tasks(
+            "bump", 0.0, 0.0, defaults["eps_list"], defaults["h0"], defaults["tau0"], 1.0
+        )
+
+    def test_sweep_slope_is_the_study_slope(self):
+        inputs = dict(preset="gauss_sech", case="I", eps_list=(0.25, 0.125, 0.0625), T=0.25)
+        slope = limit_study(**inputs, h=0.5, tau=0.05)
+        table = run_sweep(SweepSpec(mode="eps_limit", **inputs, h0=0.5, tau0=0.05))
+        assert table.meta["eta_slope"] == f"{slope:.5E}"
 
     @pytest.mark.parametrize("mode, paper_scale", list(SWEEP_DEFAULTS))
     def test_defaults(self, mode, paper_scale):

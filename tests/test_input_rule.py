@@ -5,10 +5,14 @@ Each case feeds NaN, +-inf, zero, negative values and one valid control
 breaks the rule must raise ParameterError, and the control must return.
 Snapshot times are the one input where 0 (the start) is legal. Sizes
 beyond double precision close the file: a cell or step count no array can
-index, or an inverse square that is not finite, is a ParameterError too.
+index, or an inverse square that is not finite, is a ParameterError too,
+and so is a grid whose nodes would not fit in physical memory.
 """
 
 import math
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,3 +181,30 @@ def test_cli_size_beyond_double_exits_1(tmp_path, capsys, flags):
 def test_size_beyond_double_is_a_parameter_error(call):
     with pytest.raises(ParameterError, match="numpy array can index|is not finite"):
         call()
+
+
+def test_grid_beyond_memory_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="a Grid1D: .* GiB of physical memory"):
+        Grid1D(0.0, 1.0, 2**50)
+    with pytest.raises(ParameterError, match=r"h=1e-12 on \(-31, 31\) at eps=1: .* physical memory"):
+        grid_for(1, 1e-12)
+
+
+def _two_gib_address_space():
+    # a run that ignored the rule would fail here, not exhaust the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["solve", "--h=1e-12"], "h=1e-12"), (["sweep", "--levels=40", "--eps-list=1"], "levels=40")],
+    ids=["solve-h", "sweep-levels"],
+)
+def test_cli_size_beyond_memory_exits_1(tmp_path, flags, named):
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgz.cli", *flags, f"--out={tmp_path / 'x'}"],
+        capture_output=True, text=True, preexec_fn=_two_gib_address_space, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("parameter error: ") and named in proc.stderr, proc.stderr
+    assert "physical memory" in proc.stderr and "Traceback" not in proc.stderr
