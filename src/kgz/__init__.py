@@ -46,15 +46,7 @@ from .harness import (
     write_table,
 )
 from .layer import InitialLayer, decay_order
-from .limits import (
-    LimitMetrics,
-    first_state_kg,
-    kg_energy,
-    limit_metrics,
-    step_kg,
-    step_kg_back,
-    trajectory_kg,
-)
+from .limits import LimitMetrics, first_state_kg, kg_energy, limit_metrics, trajectory_kg
 from .presets import case_exponents, domain_for_eps, preset_initial_data, smooth_step
 from .solver import (
     InitialData,

@@ -478,8 +478,9 @@ def _limit_tasks(preset, alpha, beta, eps_list, h, tau, T):
 def _run_eps_limit(spec, alpha, beta, tau, meta):
     """The table (written to ``spec.out_path``), the (eps, result) pairs and the eta_e slope.
 
-    A failed task, or a maximum that is not finite, fails its eps: a
-    ``FailedRow`` in the table, and a result ``ok=False`` with its message.
+    A failed task, a maximum that is not finite, or a max_eta_e that is not
+    positive (the slope takes its log2) fails its eps: a ``FailedRow`` in
+    the table, and a result ``ok=False`` with its message.
     """
     tasks = _limit_tasks(spec.preset, alpha, beta, spec.eps_list, spec.h0, tau, spec.T)
     meta["eps_limit_columns"] = "e_err:max_eta_e,n_err:max_f_l2_over_eps"
@@ -490,9 +491,14 @@ def _run_eps_limit(spec, alpha, beta, tau, meta):
         h = grid_for(eps, spec.h0).h
         if res["ok"]:
             try:
-                table.rows.append(ErrorRow(eps=eps, h=h, tau=tau, t=res["t_max"],
-                                           e_err=res["max_eta_e"], n_err=res["max_f_over_eps"]))
-            except ParameterError as exc:  # a non-finite maximum
+                row = ErrorRow(eps=eps, h=h, tau=tau, t=res["t_max"],
+                               e_err=res["max_eta_e"], n_err=res["max_f_over_eps"])
+                if not res["max_eta_e"] > 0:
+                    raise DegenerateProblemError(
+                        f"max_eta_e is {res['max_eta_e']}: the two models never differ"
+                    )
+                table.rows.append(row)
+            except KgzError as exc:
                 res = {"ok": False, "message": describe(exc)}
         if not res["ok"]:
             table.failures.append(FailedRow(eps=eps, h=h, tau=tau, message=res["message"]))

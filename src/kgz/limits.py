@@ -1,11 +1,13 @@
 """Limiting Klein-Gordon solvers and the vanishing-eps diagnostics.
 
-The limit model drops the density coupling; optionally it keeps the
-oscillatory layer as a potential. It is not a second scheme and has no
-types of its own: its states and trajectories are those of
-:mod:`kgz.solver` with F None, and its start and steps are the solver's
-with F = 0 and no density solve, so differences between the two
-trajectories measure the coupling effect rather than scheme differences.
+The limit model drops the density coupling; it keeps the oscillatory
+layer as a potential, or with ``layer`` None it is plain Klein-Gordon. It
+is not a second scheme and has no types or steps of its own: its states
+and trajectories are those of :mod:`kgz.solver` with F None, its start is
+:func:`kgz.solver.first_state` with F dropped, and ``step`` and
+``step_back`` step it with F = 0 and no density solve, so differences
+between the two trajectories measure the coupling effect rather than
+scheme differences.
 
 The diagnostics (:class:`LimitMetrics`) are reduced level by level as the
 levels are produced, in blocks of ``_BLOCK`` levels: the norms of a level
@@ -22,46 +24,30 @@ the route changes a bit of the result.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
 from .grid import GridNorms, _h1, _inf, _l2, grid_norms, inner_product
-from .solver import KgzState, _march_forward, _record, _step, _taylor_start
-from .solver import build_layer, first_state, step, step_back
+from .solver import KgzState, _march_forward, _record, _step, build_layer, first_state
 from .solver import _solve_field  # noqa: F401  perfbench/tracer.py wraps this name here
+from .solver import step as step_kg  # noqa: F401  perfbench/tracer.py wraps this name here
 
 # time levels per reduced block; any size gives the same bits, it only
 # trades the block's memory against numpy calls per level
 _BLOCK = 16
 
 
-def first_state_kg(params, data, layer, use_potential=True):
-    """Taylor start for the limit model, a KgzState with no F; matches the coupled start exactly.
-
-    With the potential on, the initial field acceleration is the same as in
-    the coupled system; plain Klein-Gordon drops the incompatibility term.
-    """
-    E0, E1, _ = _taylor_start(params, data, layer, use_potential)
-    return KgzState(k=1, t_k=params.tau, E_prev=E0, E_curr=E1)
+def first_state_kg(params, data, layer):
+    """The limit model's start: ``first_state`` with F dropped, so its E levels are the coupled ones."""
+    return replace(first_state(params, data, layer), F_prev=None, F_curr=None)
 
 
-def step_kg(state, params, layer, use_potential=True):
-    """One forward step of the limit model."""
-    return step(state, params, layer if use_potential else None)
-
-
-def step_kg_back(state, params, layer, use_potential=True):
-    """One backward step, centered at the prev level (see solver.step_back)."""
-    return step_back(state, params, layer if use_potential else None)
-
-
-def trajectory_kg(params, data, layer, use_potential=True):
+def trajectory_kg(params, data, layer):
     """Every time level of the limit model to T, as a Trajectory with F None."""
-    state = first_state_kg(params, data, layer, use_potential)
-    return _record(state, params, layer if use_potential else None)
+    return _record(first_state_kg(params, data, layer), params, layer)
 
 
 def _centered(F, tau):

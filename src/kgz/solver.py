@@ -9,15 +9,16 @@ then F, whose source term consumes the freshly computed field level.
 The scheme is one symmetric three-level stencil, written once in
 ``_advance``; backward steps swap its outer levels. The eps -> 0+ limit
 model of :mod:`kgz.limits` is the same stencil with F = 0 and no density
-solve, and one state type, :class:`KgzState` with F None, so ``step``,
-``step_back``, ``_step`` and ``_record`` serve both models. One generator,
-``march``, owns the time loop of every driver, and ``_march_forward``
-sets every forward run up once: it builds the run's ``_Stencil`` and opens
-the layer's stream of averaged potentials, which depend on the time alone
-and are evaluated a block of steps ahead (on large grids in a producer
-process beside the march). A step is a pure function of (state, stencil,
-potential), and no cache outlives a run. ``step``, ``step_back`` and the
-limit model's ``step_kg``, ``step_kg_back`` build the stencil and the
+solve, and one state type, :class:`KgzState` with F None, so
+``first_state``, ``step``, ``step_back``, ``_step`` and ``_record`` serve
+both models. Wherever a layer is taken, ``layer`` None means no potential
+(plain Klein-Gordon). One generator, ``march``, owns the time loop of
+every driver, and ``_march_forward`` sets every forward run up once: it
+builds the run's ``_Stencil`` and opens the layer's stream of averaged
+potentials, which depend on the time alone and are evaluated a block of
+steps ahead (on large grids in a producer process beside the march). A
+step is a pure function of (state, stencil, potential), and no cache
+outlives a run. ``step`` and ``step_back`` build the stencil and the
 layer's averaging weights per call, with the same bits: under 1 ms more
 per call at M = 29440 and about 0.04 ms at M = 920. No driver calls them.
 
@@ -173,37 +174,34 @@ def _field_accel(E0, w0, params):
     return second_difference(E0, grid) - E0 - n0 * E0
 
 
-def _taylor_start(params, data, layer, use_potential=True):
-    """E at levels 0 (the raw data) and 1 (a Taylor step), and F at level 1 (0 at level 0).
+def first_state(params, data, layer):
+    """State at k = 1 from a Taylor step; level 0 carries the raw data and F = 0.
 
-    ``use_potential=False`` (plain Klein-Gordon) drops w0 from the field acceleration.
+    ``layer`` None (plain Klein-Gordon) drops w0 from the field acceleration;
+    any other layer must have been built for the run's grid, eps, alpha and beta.
     """
-    if layer.grid != params.grid:
-        raise ShapeError("layer and params use different grids")
-    for name in ("eps", "alpha", "beta"):
-        built, wanted = getattr(layer, name), getattr(params, name)
-        if built != wanted:
-            raise ParameterError(f"layer was built for {name}={built}, the run has {name}={wanted}")
+    if layer is not None:
+        if layer.grid != params.grid:
+            raise ShapeError("layer and params use different grids")
+        for name in ("eps", "alpha", "beta"):
+            built, wanted = getattr(layer, name), getattr(params, name)
+            if built != wanted:
+                raise ParameterError(f"layer was built for {name}={built}, the run has {name}={wanted}")
     E0, E1, w0, _ = data.sample(params.grid)
     tau = params.tau
-    if use_potential:
-        ddE = _field_accel(E0, w0, params)
-    else:
+    if layer is None:
         ddE = second_difference(E0, params.grid) - E0 + E0**3
+    else:
+        ddE = _field_accel(E0, w0, params)
     ddF = 2.0 * E1**2 + 2.0 * E0 * ddE
     E1_level = E0 + tau * E1 + 0.5 * tau**2 * ddE
     F1_level = 0.5 * tau**2 * ddF
     for v in (E1_level, F1_level):
         v[0] = 0.0
         v[-1] = 0.0
-    return E0, E1_level, F1_level
-
-
-def first_state(params, data, layer):
-    """State at k = 1 from the Taylor start; level 0 carries the raw data."""
-    E0, E1, F1 = _taylor_start(params, data, layer)
-    zeros = params.grid.zeros()
-    return KgzState(k=1, t_k=params.tau, E_prev=E0, E_curr=E1, F_prev=zeros, F_curr=F1)
+    return KgzState(
+        k=1, t_k=tau, E_prev=E0, E_curr=E1_level, F_prev=params.grid.zeros(), F_curr=F1_level
+    )
 
 
 class _Stencil(NamedTuple):

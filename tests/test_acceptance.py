@@ -229,7 +229,7 @@ def test_limit_model_distance_asymptotics():
         params = make_params(eps, 1.0, 0.0, h, tau, 1.0)
         layer = build_layer(params, data)
         coupled = trajectory(params, data)
-        limit = trajectory_kg(params, data, layer, use_potential=True)
+        limit = trajectory_kg(params, data, layer)
         metrics = limit_metrics(coupled, limit, params.grid, params.tau)
         f_inf = max(float(np.max(np.abs(F))) for F in coupled.F)
         return float(np.max(metrics.eta_e)), f_inf

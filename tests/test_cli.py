@@ -266,6 +266,27 @@ class TestLimitStudy:
         assert "numerical failure: KgzError: limit run failed for eps=0.25" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_zero_metric_exits_2_and_writes_no_csv(self, tmp_path, monkeypatch, capsys):
+        real = kgz.harness._run_tasks
+
+        def zero_metric(tasks, workers):
+            results = real(tasks, workers)
+            results[0] = dict(results[0], max_eta_e=0.0)
+            return results
+
+        monkeypatch.setattr(kgz.harness, "_run_tasks", zero_metric)
+        code = main(
+            [
+                "limit-study", "--preset", "gauss_sech", "--case", "I", "--eps-list", "0.25,0.125",
+                "--h", "0.5", "--tau", "0.05", "--T", "0.25", "--out", str(tmp_path / "limit.csv"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: KgzError: limit run failed for eps=0.25" in err
+        assert "DegenerateProblemError: max_eta_e is 0.0" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_curves(self, tmp_path):
         out = tmp_path / "limit.csv"
         code = main(

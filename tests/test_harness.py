@@ -428,6 +428,39 @@ class TestRunSweep:
             limit_study("gauss_sech", "I", (0.25, 0.125), 0.5, 0.05, T=0.25, out_path=str(out))
         assert not out.exists()
 
+    def test_eps_limit_zero_metric_records_failed_row(self, tmp_path, monkeypatch):
+        real = kgz.harness._run_tasks
+
+        def zero_metric(tasks, workers):
+            results = real(tasks, workers)
+            results[0] = dict(results[0], max_eta_e=0.0)
+            return results
+
+        monkeypatch.setattr(kgz.harness, "_run_tasks", zero_metric)
+        spec = SweepSpec(
+            mode="eps_limit", preset="gauss_sech", case="I", eps_list=(0.25, 0.125),
+            h0=0.5, tau0=0.05, levels=2, T=0.25,
+        )
+        table = run_sweep(spec)
+        assert [f.eps for f in table.failures] == [0.25]
+        assert table.failures[0].message.startswith("DegenerateProblemError: max_eta_e is 0.0")
+        assert [r.eps for r in table.rows] == [0.125]
+        assert "eta_slope" not in table.meta
+
+    def test_limit_study_zero_metric_raises_and_writes_nothing(self, tmp_path, monkeypatch):
+        real = kgz.harness._run_tasks
+
+        def zero_metric(tasks, workers):
+            results = real(tasks, workers)
+            results[0] = dict(results[0], max_eta_e=0.0)
+            return results
+
+        monkeypatch.setattr(kgz.harness, "_run_tasks", zero_metric)
+        out = tmp_path / "limit.csv"
+        with pytest.raises(KgzError, match=r"eps=0\.25: DegenerateProblemError: max_eta_e is 0\.0"):
+            limit_study("gauss_sech", "I", (0.25, 0.125), 0.5, 0.05, T=0.25, out_path=str(out))
+        assert not out.exists()
+
     def test_limit_study_defaults_are_the_sweep_table(self, monkeypatch):
         submitted = []
 

@@ -7,7 +7,6 @@ import pytest
 from kgz import (
     Grid1D,
     InitialData,
-    InitialLayer,
     KgzParams,
     KgzState,
     ParameterError,
@@ -21,8 +20,6 @@ from kgz import (
     limit_metrics,
     step,
     step_back,
-    step_kg,
-    step_kg_back,
     trajectory,
     trajectory_kg,
 )
@@ -59,7 +56,7 @@ class TestFirstState:
         params = toy_params(eps=0.3, M=64)
         layer = build_layer(params, data)
         coupled = first_state(params, data, layer)
-        limit = first_state_kg(params, data, layer, use_potential=True)
+        limit = first_state_kg(params, data, layer)
         assert np.array_equal(limit.E_prev, coupled.E_prev)
         assert np.array_equal(limit.E_curr, coupled.E_curr)
 
@@ -67,8 +64,8 @@ class TestFirstState:
         data = preset_initial_data("gauss_sech")
         params = toy_params(eps=0.25, M=64, tau=0.02, alpha=1.0, beta=0.0)
         layer = build_layer(params, data)
-        with_pot = first_state_kg(params, data, layer, use_potential=True)
-        plain = first_state_kg(params, data, layer, use_potential=False)
+        with_pot = first_state_kg(params, data, layer)
+        plain = first_state_kg(params, data, None)
         E0, _, w0, _ = data.sample(params.grid)
         expected = 0.5 * params.tau**2 * params.eps**params.alpha * w0 * E0
         expected[0] = expected[-1] = 0.0
@@ -101,7 +98,7 @@ class TestStep:
         layer = build_layer(params, ZERO_DATA)
         state = first_state_kg(params, ZERO_DATA, layer)
         for _ in range(5):
-            state = step_kg(state, params, layer)
+            state = step(state, params, layer)
             assert np.all(state.E_curr == 0.0)
 
     def test_tiny_amplitude_linear_oracle(self):
@@ -109,13 +106,12 @@ class TestStep:
         # tolerance, so a dense solve of the linear model must agree
         grid = Grid1D(-2.0, 2.0, 20)
         params = KgzParams(eps=1.0, alpha=0.0, beta=0.0, grid=grid, tau=0.01, T=1.0)
-        layer = InitialLayer.from_samples(grid, 1.0, 0.0, 0.0, grid.zeros(), grid.zeros())
         x = grid.nodes
         amp = 1e-8
         bump = amp * np.exp(-(x**2)) * np.sin(np.pi * x / 2.0)
         bump[0] = bump[-1] = 0.0
         state = KgzState(k=1, t_k=0.01, E_prev=bump.copy(), E_curr=bump.copy())
-        out = step_kg(state, params, layer, use_potential=False)
+        out = step(state, params, None)
         n = grid.M - 1
         h, tau = grid.h, params.tau
         A = np.zeros((n, n))
@@ -138,8 +134,8 @@ class TestStep:
         layer = build_layer(params, data)
         state = first_state_kg(params, data, layer)
         for _ in range(6):
-            state = step_kg(state, params, layer)
-        back = step_kg_back(step_kg(state, params, layer), params, layer)
+            state = step(state, params, layer)
+        back = step_back(step(state, params, layer), params, layer)
         scale = np.max(np.abs(state.E_prev))
         assert np.max(np.abs(back.E_prev - state.E_prev)) <= 1e-10 * scale
 
@@ -150,12 +146,12 @@ class TestStep:
         layer = build_layer(params, data)
         state = first_state_kg(params, data, layer)
         for _ in range(3):
-            state = step_kg(state, params, layer)
+            state = step(state, params, layer)
         zeros = params.grid.zeros()
         coupled = KgzState(k=state.k, t_k=state.t_k, E_prev=state.E_prev, E_curr=state.E_curr,
                            F_prev=zeros, F_curr=zeros)
-        assert np.array_equal(step(coupled, params, layer).E_curr, step_kg(state, params, layer).E_curr)
-        back, back_kg = step_back(coupled, params, layer), step_kg_back(state, params, layer)
+        assert np.array_equal(step(coupled, params, layer).E_curr, step(state, params, layer).E_curr)
+        back, back_kg = step_back(coupled, params, layer), step_back(state, params, layer)
         assert np.array_equal(back.E_prev, back_kg.E_prev)
 
     def test_no_incompatibility_matches_plain_kg(self):
@@ -168,8 +164,8 @@ class TestStep:
         )
         params = toy_params(eps=0.3, M=40, tau=0.02, T=0.3)
         layer = build_layer(params, data)
-        with_pot = trajectory_kg(params, data, layer, use_potential=True)
-        plain = trajectory_kg(params, data, layer, use_potential=False)
+        with_pot = trajectory_kg(params, data, layer)
+        plain = trajectory_kg(params, data, None)
         assert np.array_equal(with_pot.E, plain.E)
 
 
@@ -308,12 +304,11 @@ class TestKgEnergy:
         for h, tau in ((0.05, 1e-3), (0.025, 5e-4)):
             grid = Grid1D(-31.0, 31.0, round(62.0 / h))
             params = KgzParams(eps=1.0, alpha=1.0, beta=0.0, grid=grid, tau=tau, T=1.0)
-            layer = build_layer(params, data)
-            state = first_state_kg(params, data, layer, use_potential=False)
+            state = first_state_kg(params, data, None)
             e0 = kg_energy(state, grid, tau)
             worst = 0.0
             for _ in range(params.n_steps() - 1):
-                state = step_kg(state, params, layer, use_potential=False)
+                state = step(state, params, None)
                 worst = max(worst, abs(kg_energy(state, grid, tau) - e0))
             drifts.append(worst / abs(e0))
         assert drifts[0] < 1.5e-7
@@ -329,14 +324,13 @@ class TestOneStateType:
         params = toy_params(eps=0.3, M=64, tau=0.02)
         layer = build_layer(params, data)
         state = first_state_kg(params, data, layer)
+        assert state.F_prev is None and state.F_curr is None
         for _ in range(3):
-            state = step_kg(state, params, layer)
-        bare = KgzState(k=state.k, t_k=state.t_k, E_prev=state.E_prev, E_curr=state.E_curr)
-        for solver_step, limit_step in ((step, step_kg), (step_back, step_kg_back)):
-            got, want = solver_step(bare, params, layer), limit_step(state, params, layer)
-            assert (got.k, got.t_k) == (want.k, want.t_k)
-            assert np.array_equal(got.E_prev, want.E_prev)
-            assert np.array_equal(got.E_curr, want.E_curr)
+            state = step(state, params, layer)
+        for solver_step, k in ((step, state.k + 1), (step_back, state.k - 1)):
+            got = solver_step(state, params, layer)
+            assert (got.k, got.t_k) == (k, k * params.tau)
+            assert np.all(np.isfinite(got.E_prev)) and np.all(np.isfinite(got.E_curr))
             assert got.F_prev is None and got.F_curr is None
 
     def test_trajectory_kg_is_a_trajectory_without_f(self):

@@ -24,6 +24,7 @@ from kgz import (
     first_state_kg,
     grid_norms,
     limit_metrics,
+    make_params,
     nondimensionalize,
     recover_density,
     run,
@@ -32,7 +33,6 @@ from kgz import (
     solve_tridiagonal,
     step,
     step_back,
-    step_kg,
     trajectory,
     trajectory_kg,
 )
@@ -248,7 +248,7 @@ class TestStep:
         limit = first_state_kg(params, data, layer)
         for _ in range(6):
             coupled = step(coupled, params, layer)
-            limit = step_kg(limit, params, layer)
+            limit = step(limit, params, layer)
         E, F = formula_step(coupled, params, layer)
         got = step(coupled, params, layer)
         assert np.array_equal(got.E_curr, E) and np.array_equal(got.F_curr, F)
@@ -596,18 +596,15 @@ class TestScaling:
             nondimensionalize(**values)
 
 
-def stepwise_levels(params, data, limit=False, use_potential=True):
-    """Every level of a march by the public one-step functions, each evaluating its own potential."""
+def stepwise_levels(params, data, limit=False, with_layer=True):
+    """Every level of a march by the public one-step functions, each evaluating its own potential.
+
+    ``with_layer=False`` steps with ``layer`` None (plain Klein-Gordon); the built layer is returned.
+    """
     layer = build_layer(params, data)
-    if limit:
-        state = first_state_kg(params, data, layer, use_potential)
-    else:
-        state = first_state(params, data, layer)
-
-    def advance(s):
-        return step_kg(s, params, layer, use_potential) if limit else step(s, params, layer)
-
-    states = list(march(state, advance, params.n_steps() - 1))
+    stepped = layer if with_layer else None
+    state = (first_state_kg if limit else first_state)(params, data, stepped)
+    states = list(march(state, lambda s: step(s, params, stepped), params.n_steps() - 1))
     E = np.array([states[0].E_prev] + [s.E_curr for s in states])
     F = None if limit else np.array([states[0].F_prev] + [s.F_curr for s in states])
     return layer, Trajectory(eps=params.eps, times=np.arange(len(E)) * params.tau, E=E, F=F)
@@ -638,12 +635,12 @@ class TestStreamedPotentials:
         assert np.array_equal(got.E, ref.E) and np.array_equal(got.F, ref.F)
 
     @pytest.mark.parametrize("K", [1, 2, 11])
-    @pytest.mark.parametrize("use_potential", [True, False])
-    def test_trajectory_kg(self, budget, K, use_potential):
+    @pytest.mark.parametrize("with_layer", [True, False])
+    def test_trajectory_kg(self, budget, K, with_layer):
         params = toy_params(M=48, T=0.01 * K)
         data = preset_initial_data("gauss_sech")
-        layer, ref = stepwise_levels(params, data, limit=True, use_potential=use_potential)
-        got = trajectory_kg(params, data, layer, use_potential)
+        layer, ref = stepwise_levels(params, data, limit=True, with_layer=with_layer)
+        got = trajectory_kg(params, data, layer if with_layer else None)
         assert np.array_equal(got.E, ref.E) and got.F is None
 
     @pytest.mark.parametrize("K", [3, 11])
@@ -737,3 +734,20 @@ class TestRunSetUpOnce:
         run(toy_params(M=48, T=0.2), preset_initial_data("gauss_sech"))
         (layer,) = layers
         assert set(vars(layer)) == {f.name for f in fields(InitialLayer)}
+
+
+@pytest.mark.parametrize("case", ["I", "II"])
+@pytest.mark.parametrize("eps", [2.0**-6, 2.0**-8, 2.0**-10])
+def test_no_step_restriction_tied_to_eps(case, eps):
+    # the paper's third guarantee: tau/eps up to 51.2 finishes without a
+    # KgzError, and the peaks at tau = 0.05 stay within 5 % of those at
+    # tau = 0.0125 (first measured: max|E| 0.827-0.829, max|N| 0.677-0.687)
+    alpha, beta = case_exponents(case)
+    data = preset_initial_data("gauss_sech")
+    peaks = []
+    for tau in (0.05, 0.0125):
+        (snap,) = run(make_params(eps, alpha, beta, 0.1, tau, 1.0), data)
+        assert all(np.isfinite(v).all() for v in (snap.E, snap.F, snap.N))
+        peaks.append(np.array([np.max(np.abs(snap.E)), np.max(np.abs(snap.N))]))
+    coarse, fine = peaks
+    assert np.all(np.abs(coarse - fine) <= 0.05 * fine), (coarse, fine)
