@@ -8,20 +8,23 @@ no second time discretization enters the solver through this term.
 
 A forward march takes the averaged potential of every step from one
 stream, ``InitialLayer._potentials``. The potential depends on the time
-alone, so the stream computes it ahead: a block of rows per DST call on
-small grids, and on grids where a block is a single row (M - 1 > 2^14) a
-forked producer process computes the rows beside the march and hands them
-over through a ring of shared slots. The producer serves a stream only in
-a process that is not itself a ``multiprocessing`` child (pool workers
-already share the cores), with at least 2 CPUs in its affinity mask and
-the ``fork`` start method; otherwise the stream runs in process. Either
-way every row has the bits of ``averaged_wave`` at its time.
+alone, so the stream computes it ahead, a block of ``_BLOCK_NODES // (M - 1)``
+rows (at least one) per DST call. A forked producer process computes the
+blocks beside the march and hands them over through a ring of shared
+slots when the stream is long enough to pay for the fork (2^20 node-rows
+or more) or its blocks are single rows (M - 1 > 2^14). The producer serves
+a stream only in a process that is not itself a ``multiprocessing`` child
+(pool workers already share the cores), with at least 2 CPUs in its
+affinity mask and the ``fork`` start method; otherwise the stream runs in
+process. Either way every row has the bits of ``averaged_wave`` at its
+time.
 """
 
 import multiprocessing
 import os
 import signal
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,16 +36,24 @@ from .transforms import dst_forward, dst_inverse
 # nodes per block of streamed potentials: 52 rows at M = 620, and one row
 # from M = 16386 on, so a large run holds no more scratch than one row
 _BLOCK_NODES = 2**15
-# rows the producer process may run ahead of the march, one shared slot each
+# blocks the producer process may run ahead of the march, one shared slot each
 _RING_SLOTS = 3
+# node-rows from which a stream pays for its producer: on 2 vCPUs a fork
+# and join took 5-8 ms, 2^20 node-rows of potential 25-55 ms
+_PRODUCER_NODES = 2**20
 # seconds a side waits for the other before it checks that the other is alive
 _POLL_S = 1.0
 
 
-def _use_producer(rows):
-    """Whether a stream of ``rows``-row blocks is served by a producer process."""
+def _use_producer(rows, nodes=0):
+    """Whether a stream of ``rows``-row blocks and ``nodes`` node-rows is served by a producer process.
+
+    One-row blocks qualify at any length, other blocks from
+    ``_PRODUCER_NODES`` node-rows on; either only where a producer can run
+    beside the march.
+    """
     return (
-        rows == 1
+        (rows == 1 or nodes >= _PRODUCER_NODES)
         and multiprocessing.parent_process() is None
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
@@ -150,68 +161,83 @@ class InitialLayer:
         """Yield ``averaged_wave(k tau, tau)`` for k = k_first .. k_stop - 1, in order.
 
         The potentials depend on t_k alone, never on the solution, so a
-        forward march takes them from here, computed ahead: in process
-        ``_BLOCK_NODES // (M - 1)`` rows (at least one) at a time, or one
-        row at a time by a producer process when ``_use_producer`` allows
-        it. A caller closes the stream when it stops early or fails
-        (``contextlib.closing``), which ends the producer.
+        forward march takes them from here, computed ahead in blocks of
+        ``_BLOCK_NODES // (M - 1)`` rows (at least one): by a producer
+        process when ``_use_producer`` allows it for the stream's block size
+        and node-rows, in process otherwise. A caller closes the stream when
+        it stops early or fails (``contextlib.closing``), which ends the
+        producer.
         """
         rows = max(1, _BLOCK_NODES // (self.grid.M - 1))
-        if _use_producer(rows):
-            return self._produced(k_first, k_stop, tau)
+        if _use_producer(rows, (k_stop - k_first) * (self.grid.M - 1)):
+            return self._produced(k_first, k_stop, tau, rows)
         return self._computed(k_first, k_stop, tau, rows)
 
-    def _computed(self, k_first, k_stop, tau, rows):
-        """The in-process stream of ``_potentials``, ``rows`` rows per block; one set of weights."""
+    def _blocks(self, k_first, k_stop, tau, rows):
+        """The potentials of ``_potentials``, ``rows`` rows per block (fewer in the last); one set of weights."""
         weights = self._average_weights(tau)
         phase, modes = np.empty((2, rows, self.grid.M - 1))
         for k0 in range(k_first, k_stop, rows):
             ks = np.arange(k0, min(k0 + rows, k_stop))
-            yield from self._averaged_block(ks * tau, weights, phase[: len(ks)], modes[: len(ks)])
+            yield self._averaged_block(ks * tau, weights, phase[: len(ks)], modes[: len(ks)])
 
-    def _produced(self, k_first, k_stop, tau):
-        """The stream of ``_potentials`` with its rows computed by a forked producer process.
+    def _computed(self, k_first, k_stop, tau, rows):
+        """The in-process stream of ``_potentials``, ``rows`` rows per block."""
+        for block in self._blocks(k_first, k_stop, tau, rows):
+            yield from block
 
-        The producer writes row i of the stream into slot i mod
+    def _produced(self, k_first, k_stop, tau, rows=1):
+        """The stream of ``_potentials`` with its ``rows``-row blocks computed by a forked producer process.
+
+        The producer writes block i of the stream into slot i mod
         ``_RING_SLOTS`` of a shared ring. ``free`` counts the slots it may
-        write and ``full`` the rows the march may read. Each row is copied
-        out of its slot before the slot goes back, so it keeps its bits.
-        The producer is joined on every exit of the stream, terminated
-        first if it still runs; should it die early, the stream goes on in
-        process from the first row it did not deliver.
+        write and ``full`` the blocks the march may read. Each block is
+        copied out of its slot before the slot goes back, so its rows keep
+        their bits. The producer is joined on every exit of the stream,
+        terminated first if it still runs; should it die early, the stream
+        goes on in process from the first block it did not deliver. A row's
+        bits do not depend on the block size, so either way every row has
+        the bits of ``averaged_wave``.
         """
         positive_finite("tau", tau)  # here, as the producer has no way to raise into the march
         ctx = multiprocessing.get_context("fork")
         width = self.grid.M + 1
-        ring = np.frombuffer(ctx.RawArray("d", _RING_SLOTS * width)).reshape(_RING_SLOTS, width)
+        ring = np.frombuffer(ctx.RawArray("d", _RING_SLOTS * rows * width))
+        ring = ring.reshape(_RING_SLOTS, rows, width)
         free, full = ctx.Semaphore(_RING_SLOTS), ctx.Semaphore(0)
         producer = ctx.Process(
             target=self._produce,
-            args=(k_first, k_stop, tau, ring, free, full),
+            args=(k_first, k_stop, tau, rows, ring, free, full),
             daemon=True,
         )
         producer.start()
         try:
-            for i, k in enumerate(range(k_first, k_stop)):
+            for i, k0 in enumerate(range(k_first, k_stop, rows)):
                 if not _acquire(full, producer.is_alive):
-                    yield from self._computed(k, k_stop, tau, 1)
+                    yield from self._computed(k0, k_stop, tau, rows)
                     return
-                row = ring[i % _RING_SLOTS].copy()
+                block = ring[i % _RING_SLOTS, : min(rows, k_stop - k0)].copy()
                 free.release()
-                yield row
+                yield from block
         finally:
             producer.terminate()
             producer.join()
 
-    def _produce(self, k_first, k_stop, tau, ring, free, full):
-        """The producer's loop: each row of the in-process stream into its slot once it is free."""
+    def _produce(self, k_first, k_stop, tau, rows, ring, free, full):
+        """The producer's loop: each block of the in-process stream into its slot once it is free.
+
+        The producer pins itself to the last CPU of its affinity mask, so
+        the scheduler keeps the march on another one.
+        """
         # an interrupt from the terminal is the march's to handle; it ends the producer
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+        with suppress(OSError):  # a mask that changed since the fork; the pin is only a hint
+            os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
         parent = multiprocessing.parent_process()
-        for i, row in enumerate(self._computed(k_first, k_stop, tau, 1)):
+        for i, block in enumerate(self._blocks(k_first, k_stop, tau, rows)):
             if not _acquire(free, parent.is_alive):
                 return
-            ring[i % _RING_SLOTS] = row
+            ring[i % _RING_SLOTS, : len(block)] = block
             full.release()
 
     def _average_weights(self, tau):

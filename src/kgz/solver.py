@@ -16,7 +16,7 @@ both models. Wherever a layer is taken, ``layer`` None means no potential
 every driver, and ``_march_forward`` sets every forward run up once: it
 builds the run's ``_Stencil`` and opens the layer's stream of averaged
 potentials, which depend on the time alone and are evaluated a block of
-steps ahead (on large grids in a producer process beside the march). A
+steps ahead (for long streams in a producer process beside the march). A
 step is a pure function of (state, stencil, potential), and no cache
 outlives a run. ``step`` and ``step_back`` build the stencil and the
 layer's averaging weights per call, with the same bits: under 1 ms more

@@ -238,3 +238,75 @@ class TestPotentialProducer:
     def test_non_finite_tau_rejected(self, layer, tau):
         with pytest.raises(ParameterError, match="finite"):
             next(layer._produced(1, 5, tau))
+
+
+class TestBlockProducer:
+    """From 2^20 node-rows on, a producer process serves multi-row blocks too."""
+
+    @pytest.fixture
+    def layer(self, rng):
+        return make_layer(rng, Grid1D(-6.0, 6.0, 620), eps=0.25)
+
+    def test_rows_match_in_process_blocks(self, layer):
+        # 52-row blocks: 5 full blocks wrap the 3-slot ring, and 17 rows end in a partial one
+        rows, k_stop = 52, 3 + 5 * 52 + 17
+        want = list(layer._computed(3, k_stop, 0.01, rows))
+        got = list(layer._produced(3, k_stop, 0.01, rows))
+        assert len(got) == len(want) == k_stop - 3
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert multiprocessing.active_children() == []
+
+    def test_killed_producer_falls_back_from_first_missing_block(self, layer, monkeypatch):
+        monkeypatch.setattr(kgz.layer, "_POLL_S", 0.05)
+        rows, k_stop = 52, 1 + 10 * 52 + 5
+        want = list(layer._computed(1, k_stop, 0.01, rows))
+        resumed = []
+        computed = kgz.layer.InitialLayer._computed
+
+        def spied(self, k_first, *args):
+            resumed.append(k_first)
+            return computed(self, k_first, *args)
+
+        monkeypatch.setattr(kgz.layer.InitialLayer, "_computed", spied)
+        stream = layer._produced(1, k_stop, 0.01, rows)
+        got = [next(stream)]
+        (producer,) = multiprocessing.active_children()
+        producer.kill()
+        got += list(stream)
+        # the ring holds at most 3 blocks, so the march resumes within the 10 full ones
+        (k_resumed,) = resumed
+        assert 1 < k_resumed <= 1 + 4 * rows and (k_resumed - 1) % rows == 0
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_rule(self, two_cpus):
+        assert not kgz.layer._use_producer(2, 2**20 - 1)
+        assert kgz.layer._use_producer(2, 2**20)
+        assert kgz.layer._use_producer(52, 2**22)
+
+    def test_below_threshold_stays_in_process(self, layer, two_cpus):
+        # 1693 rows of 619 nodes are just under 2^20 node-rows
+        stream = layer._potentials(1, 1 + 1693, 0.01)
+        next(stream)
+        assert multiprocessing.active_children() == []
+
+    def test_at_threshold_gets_producer(self, layer, two_cpus):
+        stream = layer._potentials(1, 1 + 1694, 0.01)
+        first = next(stream)
+        assert len(multiprocessing.active_children()) == 1
+        stream.close()
+        assert multiprocessing.active_children() == []
+        assert np.array_equal(first, layer.averaged_wave(0.01, 0.01))
+
+    def test_pool_worker_stays_in_process(self, two_cpus):
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert not pool.submit(kgz.layer._use_producer, 52, 2**22).result()
+
+    def test_one_cpu_stays_in_process(self, layer, monkeypatch):
+        monkeypatch.setattr(kgz.layer.os, "sched_getaffinity", lambda pid: {0})
+        assert not kgz.layer._use_producer(52, 2**22)
+        stream = layer._potentials(1, 1 + 4096, 0.01)
+        next(stream)
+        assert multiprocessing.active_children() == []

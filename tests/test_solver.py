@@ -14,6 +14,7 @@ from kgz import (
     ParameterError,
     ShapeError,
     StabilityError,
+    SweepSpec,
     Trajectory,
     build_layer,
     case_exponents,
@@ -24,10 +25,12 @@ from kgz import (
     first_state_kg,
     grid_norms,
     limit_metrics,
+    limit_study,
     make_params,
     nondimensionalize,
     recover_density,
     run,
+    run_sweep,
     second_difference,
     solve_factored,
     solve_tridiagonal,
@@ -672,8 +675,9 @@ class TestOneThreadHotPath:
         return calls
 
     def test_march_uses_one_core(self):
-        # M - 1 = 2^14: two-row blocks, in process; a spinning BLAS helper
-        # thread used to take this ratio to about 2
+        # M - 1 = 2^14: two-row blocks from a producer process, whose CPU
+        # time is not the march's; a spinning BLAS helper thread used to
+        # take this ratio to about 2
         params = toy_params(M=16385, tau=0.005, T=1.0)
         data = preset_initial_data("gauss_sech")
         run(replace(params, T=0.01), data)  # warm up
@@ -707,6 +711,31 @@ class TestOneThreadHotPath:
         params = toy_params(M=48, T=0.11)
         data = preset_initial_data("gauss_sech")
         _lockstep_metrics(params, data)
+        assert len(produced) == 1 and multiprocessing.active_children() == []
+
+    def test_failed_step_joins_block_producer(self, two_cpus, produced, monkeypatch):
+        # M = 620: 52-row blocks, and 1999 rows of 619 nodes above 2^20 node-rows
+        def failing(s, params, potential):
+            if s.k == 3:
+                raise StabilityError("injected")
+            return _step(s, params, potential)
+
+        monkeypatch.setattr(kgz.solver, "_step", failing)
+        params = toy_params(M=620, tau=0.0005, T=1.0)
+        with pytest.raises(StabilityError) as info:
+            run(params, preset_initial_data("gauss_sech"))
+        assert info.value.k == 3
+        assert len(produced) == 1 and produced[0][3] == 52
+        assert multiprocessing.active_children() == []
+
+    def test_eps_limit_sweep_joins_producer(self, two_cpus, produced):
+        # M = 1360, 999 rows: 1.36e6 node-rows
+        run_sweep(SweepSpec(mode="eps_limit", preset="gauss_sech", case="I", eps_list=(0.25,),
+                            h0=0.05, tau0=1e-3, T=1.0, workers=1))
+        assert len(produced) == 1 and multiprocessing.active_children() == []
+
+    def test_limit_study_joins_producer(self, two_cpus, produced):
+        limit_study("gauss_sech", "I", (0.25,), 0.05, 1e-3, T=1.0)
         assert len(produced) == 1 and multiprocessing.active_children() == []
 
 
