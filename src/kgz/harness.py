@@ -22,11 +22,12 @@ import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
 from .errors import DegenerateProblemError, KgzError, ParameterError, ShapeError, describe
-from .errors import positive_finite
+from .errors import countable, positive_finite
 from .grid import Grid1D, _cells, _interval, grid_norms
 from .limits import _lockstep_metrics
 from .limits import limit_metrics, trajectory_kg  # noqa: F401  perfbench/tracer.py wraps these here
@@ -305,6 +306,8 @@ class SweepSpec:
         for eps in out.eps_list:
             if not 0 < eps <= 1:  # NaN fails too
                 raise ParameterError(f"eps values must lie in (0, 1], got {eps}")
+            if out.eps_list.count(eps) > 1:  # a sweep reads its results by eps
+                raise ParameterError(f"eps values must be distinct, got {eps} more than once")
         return out
 
     def exponents(self):
@@ -366,15 +369,12 @@ def _run_tasks(tasks, workers):
     return [_solve_task(t) for t in tasks]
 
 
-def run_sweep(spec):
-    """Execute a convergence sweep and return its rate table.
+def _plan(spec):
+    """The resolved spec, the table meta and the task list of a sweep, every size checked.
 
-    Spatial and temporal modes refine one direction by halvings and compare
-    final-time snapshots against a refined self-reference shared per eps
-    (refined from the finest level, which makes it at least the requested
-    factor for every level). The eps-limit mode runs the coupled system
-    and its limit model per eps and reports the limit metrics; rate columns
-    stay empty there and the fitted slope lands in the table metadata.
+    The tasks come in the order the table reads them: per eps, largest
+    first, each level's ``final`` task (coarsest first) and then the
+    ``reference``, refined from the finest level; or one ``limit`` task.
     """
     spec = spec.resolved()
     alpha, beta = spec.exponents()
@@ -391,104 +391,102 @@ def run_sweep(spec):
     }
     if adjusted:
         meta["tau_adjusted"] = f"{tau:.17g}"
-
+    base = {"preset": spec.preset, "alpha": alpha, "beta": beta, "T": spec.T}
+    eps_list = sorted(spec.eps_list, reverse=True)
     if spec.mode == "eps_limit":
-        return _run_eps_limit(spec, alpha, beta, tau, meta)[0]
+        if whole_steps(spec.T, tau) < 3:
+            raise ParameterError("limit metrics need at least 4 time levels; "
+                                 "decrease tau or increase T")
+        meta["eps_limit_columns"] = "e_err:max_eta_e,n_err:max_f_l2_over_eps"
+        return spec, meta, [dict(base, eps=eps, h=spec.h0, tau=tau, kind="limit")
+                            for eps in eps_list]
 
     spatial = spec.mode == "spatial"
     # a reference refines the direction the sweep studies
     ref_kw = {"refine_space": spec.refine_space if spatial else 1,
               "refine_time": 1 if spatial else spec.refine_time}
-    if spatial:  # the finest reference must fit before any level's grid is built (inf past 2^1023)
-        for eps in spec.eps_list:
-            finest = grid_for(eps, spec.h0).M * spec.refine_space * 2.0 ** min(spec.levels - 1, 1023)
-            _cells(finest, f"the finest reference of h0={spec.h0}, levels={spec.levels} and "
-                           f"refine_space={spec.refine_space} at eps={eps}")
-    factors = [2**i for i in range(spec.levels)]
+    finest = 2.0 ** min(spec.levels - 1, 1023)  # inf past 2^1023
     tasks = []
-    groups = []  # (eps, the (grid, tau) of each level, coarsest first) per eps
-    for eps in sorted(spec.eps_list, reverse=True):
+    for eps in eps_list:
         coarse = grid_for(eps, spec.h0)
+        # the finest reference must fit before its levels are built
+        if spatial:
+            _cells(coarse.M * spec.refine_space * finest,
+                   f"the finest reference of h0={spec.h0}, levels={spec.levels} and "
+                   f"refine_space={spec.refine_space} at eps={eps}")
+        else:
+            countable(spec.T / tau * spec.refine_time * finest, "steps",
+                      f"the finest reference of tau0={spec.tau0}, levels={spec.levels} and "
+                      f"refine_time={spec.refine_time}")
+        level = dict(base, eps=eps, kind="final", h=coarse.h, tau=tau)
         # a spatial level multiplies the cells of the coarsest grid, so the
         # reference restricts onto its nodes whether or not h0 divides the domain
-        if spatial:
-            levels = [(Grid1D(coarse.a, coarse.b, coarse.M * f), tau) for f in factors]
-        else:
-            levels = [(coarse, tau / f) for f in factors]
-        groups.append((eps, levels))
-        base = {"preset": spec.preset, "alpha": alpha, "beta": beta, "eps": eps, "T": spec.T}
-        tasks.extend(dict(base, kind="final", h=grid.h, tau=tt) for grid, tt in levels)
-        # the reference is refined from the finest level
-        grid, tt = levels[-1]
-        tasks.append(dict(base, kind="reference", h=grid.h, tau=tt, **ref_kw))
+        levels = [dict(level, h=coarse.length / (coarse.M * 2**i)) if spatial
+                  else dict(level, tau=tau / 2**i) for i in range(spec.levels)]
+        tasks += [*levels, dict(levels[-1], kind="reference", **ref_kw)]
+    return spec, meta, tasks
 
-    results = iter(_run_tasks(tasks, spec.workers))
+
+def run_sweep(spec):
+    """Execute a convergence sweep and return its rate table.
+
+    Spatial and temporal modes refine one direction by halvings and compare
+    final-time snapshots against a refined self-reference shared per eps
+    (refined from the finest level, which makes it at least the requested
+    factor for every level). The eps-limit mode runs the coupled system
+    and its limit model per eps and reports the limit metrics; rate columns
+    stay empty there and the fitted slope lands in the table metadata.
+    """
+    spec, meta, tasks = _plan(spec)
+    if spec.mode == "eps_limit":
+        return _run_eps_limit(spec, meta, tasks)[0]
+
     table = RateTable(meta=meta)
-    for eps, levels in groups:
-        level_results = [next(results) for _ in levels]
-        ref = next(results)
+    results = _run_tasks(tasks, spec.workers)
+    for eps, pairs in groupby(zip(tasks, results), key=lambda pair: pair[0]["eps"]):
+        *levels, (_, ref) = pairs
         prev_errs = None
-        for lvl, ((grid, tt), res) in enumerate(zip(levels, level_results)):
-            if not res["ok"] or not ref["ok"]:
-                msg = res.get("message") or ref.get("message", "reference failed")
-                table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tt, message=msg))
+        for task, res in levels:
+            message = next((r["message"] for r in (res, ref) if not r["ok"]), None)
+            if message is None:
+                # the results were run on this grid; the reference is restricted
+                # onto the finest level, which its length gives
+                grid = grid_for(eps, task["h"])
+                stride = (len(ref["E"]) - 1) // grid.M
+                ref_snap = Snapshot(t=ref["t"], **{k: ref[k][::stride] for k in "EFN"})
+                num_snap = Snapshot(t=res["t"], E=res["E"], F=res["F"], N=res["N"])
+                try:
+                    errs = error_metrics(num_snap, ref_snap, grid)
+                    rates = map(convergence_rate, prev_errs or (None, None), errs)
+                    # the row rejects a non-finite error, which must land in
+                    # the failures rather than abort the sweep
+                    row = ErrorRow(eps, task["h"], task["tau"], spec.T, *errs, *rates)
+                except KgzError as exc:
+                    message = describe(exc)
+            if message is None:
+                table.rows.append(row)
+                prev_errs = errs
+            else:
+                table.failures.append(FailedRow(eps, task["h"], task["tau"], message))
                 prev_errs = None
-                continue
-            stride = 2 ** (spec.levels - 1 - lvl) if spatial else 1
-            ref_snap = Snapshot(
-                t=ref["t"], E=ref["E"][::stride], F=ref["F"][::stride], N=ref["N"][::stride]
-            )
-            num_snap = Snapshot(t=res["t"], E=res["E"], F=res["F"], N=res["N"])
-            try:
-                e_err, n_err = error_metrics(num_snap, ref_snap, grid)
-                rate_e = rate_n = None
-                if prev_errs is not None:
-                    rate_e = convergence_rate(prev_errs[0], e_err)
-                    rate_n = convergence_rate(prev_errs[1], n_err)
-                # the row rejects a non-finite error, which must land in
-                # the failures rather than abort the sweep
-                row = ErrorRow(
-                    eps=eps, h=grid.h, tau=tt, t=spec.T,
-                    e_err=e_err, n_err=n_err, rate_e=rate_e, rate_n=rate_n,
-                )
-            except KgzError as exc:
-                table.failures.append(FailedRow(eps=eps, h=grid.h, tau=tt, message=describe(exc)))
-                prev_errs = None
-                continue
-            table.rows.append(row)
-            prev_errs = (e_err, n_err)
 
     if spec.out_path:
         write_table(table, spec.out_path)
     return table
 
 
-def _limit_tasks(preset, alpha, beta, eps_list, h, tau, T):
-    """One ``kind="limit"`` task per eps, largest eps first; ``tau`` must divide ``T``."""
-    if whole_steps(T, tau) < 3:  # checked before any task runs
-        raise ParameterError(
-            "limit metrics need at least 4 time levels; decrease tau or increase T"
-        )
-    return [
-        dict(preset=preset, alpha=alpha, beta=beta, eps=eps, h=h, tau=tau, T=T, kind="limit")
-        for eps in sorted(eps_list, reverse=True)
-    ]
-
-
-def _run_eps_limit(spec, alpha, beta, tau, meta):
+def _run_eps_limit(spec, meta, tasks):
     """The table (written to ``spec.out_path``), the (eps, result) pairs and the eta_e slope.
 
     A failed task, a maximum that is not finite, or a max_eta_e that is not
     positive (the slope takes its log2) fails its eps: a ``FailedRow`` in
     the table, and a result ``ok=False`` with its message.
     """
-    tasks = _limit_tasks(spec.preset, alpha, beta, spec.eps_list, spec.h0, tau, spec.T)
-    meta["eps_limit_columns"] = "e_err:max_eta_e,n_err:max_f_l2_over_eps"
     table = RateTable(meta=meta)
     outcomes = []
     for task, res in zip(tasks, _run_tasks(tasks, spec.workers)):
-        eps = task["eps"]
-        h = grid_for(eps, spec.h0).h
+        eps, tau = task["eps"], task["tau"]
+        h = grid_for(eps, task["h"]).h
         if res["ok"]:
             try:
                 row = ErrorRow(eps=eps, h=h, tau=tau, t=res["t_max"],
@@ -521,11 +519,10 @@ def limit_study(preset, case, eps_list=None, h=None, tau=None, T=1.0, alpha=None
     nothing: the first failed eps raises a KgzError naming it, and no CSV is
     written. Returns the slope of log2 max eta_e against log2 eps (None below two eps).
     """
-    spec = SweepSpec(mode="eps_limit", preset=preset, case=case, alpha=alpha, beta=beta,
-                     eps_list=eps_list, h0=h, tau0=tau, T=T, workers=workers).resolved()
-    alpha, beta = spec.exponents()
-    tau = aligned_tau(spec.T, spec.tau0)[0]
-    _, outcomes, slope = _run_eps_limit(spec, alpha, beta, tau, {})
+    spec, sweep_meta, tasks = _plan(SweepSpec(
+        mode="eps_limit", preset=preset, case=case, alpha=alpha, beta=beta,
+        eps_list=eps_list, h0=h, tau0=tau, T=T, workers=workers))
+    _, outcomes, slope = _run_eps_limit(spec, sweep_meta, tasks)
     rows = []
     for eps, res in outcomes:
         if not res["ok"]:
@@ -533,8 +530,9 @@ def limit_study(preset, case, eps_list=None, h=None, tau=None, T=1.0, alpha=None
         curves = res["curves"]
         columns = (curves.times, curves.eta_2, curves.eta_inf, curves.eta_e)
         rows.extend((eps, *row) for row in zip(*columns))
-    meta = {"preset": preset, "case": case, "alpha": f"{alpha:g}", "beta": f"{beta:g}",
-            "h": f"{spec.h0:g}", "tau": f"{tau:.17g}", "T": f"{T:g}"}
+    meta = {"preset": preset, "case": case, "alpha": sweep_meta["alpha"],
+            "beta": sweep_meta["beta"], "h": f"{spec.h0:g}", "tau": f"{tasks[0]['tau']:.17g}",
+            "T": f"{T:g}"}
     if slope is not None:
         meta["eta_slope"] = f"{slope:.6f}"
     if out_path:

@@ -43,3 +43,22 @@ def test_harness_hooks_exist(name):
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
 def test_workload_setup_runs(name):
     workloads.WORKLOADS[name].setup(kgz)
+
+
+@pytest.mark.parametrize("name", ["sweep_temporal_small", "eps_limit"])
+def test_sweep_submits_the_workload_tasks(name, monkeypatch):
+    # the benchmark matches each result to the task it restates by (kind, eps, tau)
+    class Submitted(Exception):
+        pass
+
+    submitted = []
+
+    def capture(tasks, workers):
+        submitted.extend(tasks)
+        raise Submitted
+
+    monkeypatch.setattr(kgz.harness, "_run_tasks", capture)
+    workload = workloads.WORKLOADS[name]
+    with pytest.raises(Submitted):
+        kgz.run_sweep(workload.spec(kgz))
+    assert [(t["kind"], t["eps"], t["tau"]) for t in submitted] == workload.tasks()

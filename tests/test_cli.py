@@ -215,7 +215,8 @@ class TestLimitStudy:
 
     @pytest.mark.parametrize("command", [["limit-study"], ["sweep", "--mode", "eps-limit"]],
                              ids=["limit-study", "sweep"])
-    @pytest.mark.parametrize("eps_list", ["2", ","], ids=["above-1", "empty"])
+    @pytest.mark.parametrize("eps_list", ["2", ",", "0.5,0.5"],
+                             ids=["above-1", "empty", "repeated"])
     def test_eps_rule_exits_1(self, tmp_path, capsys, command, eps_list):
         out = tmp_path / "x.csv"
         code = main([*command, "--eps-list", eps_list, "--out", str(out)])

@@ -32,7 +32,7 @@ from kgz import (
     write_table,
 )
 from kgz import presets
-from kgz.harness import ErrorRow, FailedRow, RateTable, _limit_tasks, _solve_task
+from kgz.harness import ErrorRow, FailedRow, RateTable, _solve_task
 from kgz.presets import preset_initial_data
 
 PAPER_EPS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625)
@@ -475,9 +475,10 @@ class TestRunSweep:
         with pytest.raises(Submitted):
             limit_study("bump", "custom", alpha=0.0, beta=0.0)
         defaults = kgz.harness._SWEEP_DEFAULTS[("eps_limit", False)]
-        assert submitted == _limit_tasks(
-            "bump", 0.0, 0.0, defaults["eps_list"], defaults["h0"], defaults["tau0"], 1.0
-        )
+        base = {"preset": "bump", "alpha": 0.0, "beta": 0.0, "h": defaults["h0"],
+                "tau": defaults["tau0"], "T": 1.0, "kind": "limit"}
+        eps_list = sorted(defaults["eps_list"], reverse=True)
+        assert submitted == [dict(base, eps=eps) for eps in eps_list]
 
     def test_sweep_slope_is_the_study_slope(self):
         inputs = dict(preset="gauss_sech", case="I", eps_list=(0.25, 0.125, 0.0625), T=0.25)
@@ -563,6 +564,63 @@ class TestRunSweep:
         ).read_text()
 
 
+def _submitted_tasks(monkeypatch, spec):
+    """The tasks ``run_sweep(spec)`` hands to ``_run_tasks``, none of them run."""
+    submitted = []
+
+    class Submitted(Exception):
+        pass
+
+    def capture(tasks, workers):
+        submitted.extend(tasks)
+        raise Submitted
+
+    monkeypatch.setattr(kgz.harness, "_run_tasks", capture)
+    with pytest.raises(Submitted):
+        run_sweep(spec)
+    return submitted
+
+
+class TestTaskList:
+    """The task list of each sweep mode, pinned literally: per eps, largest first."""
+
+    def test_spatial(self, monkeypatch):
+        # h0 = 0.3 divides neither domain: (-31, 31) has 207 cells, (-34, 34) 227
+        spec = SweepSpec(mode="spatial", case="I", eps_list=(0.25, 1.0), h0=0.3, tau0=0.05,
+                         levels=3, T=0.1)
+        base = {"preset": "gauss_sech", "alpha": 1.0, "beta": 0.0, "T": 0.1, "tau": 0.05}
+        ref = {"kind": "reference", "refine_space": 8, "refine_time": 1}
+        assert _submitted_tasks(monkeypatch, spec) == [
+            dict(base, eps=1.0, kind="final", h=0.2995169082125604),
+            dict(base, eps=1.0, kind="final", h=0.1497584541062802),
+            dict(base, eps=1.0, kind="final", h=0.0748792270531401),
+            dict(base, eps=1.0, h=0.0748792270531401, **ref),
+            dict(base, eps=0.25, kind="final", h=0.29955947136563876),
+            dict(base, eps=0.25, kind="final", h=0.14977973568281938),
+            dict(base, eps=0.25, kind="final", h=0.07488986784140969),
+            dict(base, eps=0.25, h=0.07488986784140969, **ref),
+        ]
+
+    def test_temporal_adjusted_tau(self, monkeypatch):
+        # tau0 = 0.03 does not divide T = 0.1: the sweep steps with 0.025
+        spec = SweepSpec(mode="temporal", case="II", eps_list=(1.0,), h0=0.3, tau0=0.03,
+                         levels=2, T=0.1, refine_time=4)
+        base = {"preset": "gauss_sech", "alpha": 0.0, "beta": -1.0, "eps": 1.0, "T": 0.1,
+                "h": 0.2995169082125604}
+        assert _submitted_tasks(monkeypatch, spec) == [
+            dict(base, kind="final", tau=0.025),
+            dict(base, kind="final", tau=0.0125),
+            dict(base, kind="reference", tau=0.0125, refine_space=1, refine_time=4),
+        ]
+
+    def test_eps_limit(self, monkeypatch):
+        spec = SweepSpec(mode="eps_limit", case="I", eps_list=(0.125, 0.25), h0=0.5, tau0=0.05,
+                         T=0.25)
+        base = {"preset": "gauss_sech", "alpha": 1.0, "beta": 0.0, "h": 0.5, "tau": 0.05,
+                "T": 0.25, "kind": "limit"}
+        assert _submitted_tasks(monkeypatch, spec) == [dict(base, eps=0.25), dict(base, eps=0.125)]
+
+
 def _zero(x):
     return np.zeros_like(x)
 
@@ -571,6 +629,12 @@ def _limit_blow_up():
     # run alone with eps = 0.5, h = 0.25, tau = 0.25, the limit model loses
     # diagonal dominance in the step from k = 5, the coupled one from k = 7
     return InitialData(E0=lambda x: 2.0 * np.exp(-(x**2)), E1=_zero, omega0=_zero, omega1=_zero)
+
+
+def _limit_task(preset):
+    """The one limit task of eps = 0.5, case I, h = 0.25, tau = 0.25 and T = 2."""
+    return {"preset": preset, "alpha": 1.0, "beta": 0.0, "eps": 0.5, "h": 0.25, "tau": 0.25,
+            "T": 2.0, "kind": "limit"}
 
 
 class TestLimitTaskFailure:
@@ -592,7 +656,7 @@ class TestLimitTaskFailure:
 
     def test_task_reports_step_and_time(self, failing):
         preset, where = failing
-        (task,) = _limit_tasks(preset, 1.0, 0.0, (0.5,), 0.25, 0.25, 2.0)
+        task = _limit_task(preset)
         result = _solve_task(task)
         assert result["ok"] is False
         assert where in result["message"]
@@ -660,7 +724,7 @@ class TestPoolOrder:
     def test_failed_task_keeps_its_index(self, recording_pool, monkeypatch):
         monkeypatch.setitem(presets._PRESETS, "blow_up", _limit_blow_up)
         base = {"preset": "gauss_sech", "alpha": 1.0, "beta": 0.0, "eps": 0.5, "T": 0.1}
-        (failing,) = _limit_tasks("blow_up", 1.0, 0.0, (0.5,), 0.25, 0.25, 2.0)
+        failing = _limit_task("blow_up")
         tasks = [
             dict(base, kind="final", h=0.5, tau=0.05),
             failing,  # 8 steps x 255 nodes, fails in the step from k = 5

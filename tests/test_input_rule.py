@@ -24,6 +24,7 @@ from kgz import (
     InitialLayer,
     KgzParams,
     ParameterError,
+    SweepSpec,
     aligned_tau,
     domain_for_eps,
     grid_for,
@@ -31,6 +32,7 @@ from kgz import (
     nondimensionalize,
     preset_initial_data,
     run,
+    run_sweep,
 )
 from kgz.cli import main
 from kgz.solver import whole_steps
@@ -175,8 +177,10 @@ def test_cli_size_beyond_double_exits_1(tmp_path, capsys, flags):
         lambda: aligned_tau(1.0, 1e-320),
         lambda: KgzParams(**{**PARAMS, "tau": 1e-160, "T": 2e-160}),
         lambda: KgzParams(**{**PARAMS, "eps": 1e-170}),
+        lambda: run_sweep(SweepSpec(mode="temporal", levels=1100, eps_list=(1.0,))),
     ],
-    ids=["Grid1D.M", "Grid1D.h", "whole_steps", "aligned_tau", "KgzParams.tau", "KgzParams.eps"],
+    ids=["Grid1D.M", "Grid1D.h", "whole_steps", "aligned_tau", "KgzParams.tau", "KgzParams.eps",
+         "run_sweep.levels"],
 )
 def test_size_beyond_double_is_a_parameter_error(call):
     with pytest.raises(ParameterError, match="numpy array can index|is not finite"):
