@@ -62,9 +62,9 @@ def _random_grid_fn(rng, grid):
     return u
 
 
-def check_summation_by_parts(seed=0):
+def check_summation_by_parts():
     """(-d2 u, v) equals the staggered product of the forward differences."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
     for M in (2, 3, 5, 8, 16, 33, 64, 128):
         grid = Grid1D(-1.3, 2.1, M)
@@ -82,8 +82,8 @@ def check_summation_by_parts(seed=0):
     return _result("summation_by_parts", worst, 1e-13)
 
 
-def check_dst_round_trip(seed=1):
-    rng = np.random.default_rng(seed)
+def check_dst_round_trip():
+    rng = np.random.default_rng(1)
     worst = 0.0
     for M in (2, 3, 4, 8, 16, 64, 128):
         grid = Grid1D(0.0, 1.0, M)
@@ -96,9 +96,9 @@ def check_dst_round_trip(seed=1):
     return _result("dst_round_trip", worst, 1e-12)
 
 
-def check_dst_parseval(seed=2):
+def check_dst_parseval():
     """h sum u_j^2 must equal (b - a)/2 times the squared spectrum."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2)
     worst = 0.0
     for M in (4, 16, 64):
         grid = Grid1D(-2.0, 3.0, M)
@@ -131,8 +131,8 @@ def triangular_average_quadrature(layer, t, tau, panels_per_period=10):
     return total
 
 
-def check_averaged_wave(seed=3):
-    rng = np.random.default_rng(seed)
+def check_averaged_wave():
+    rng = np.random.default_rng(3)
     grid = Grid1D(0.0, 1.0, 16)
     worst = 0.0
     for eps in (1.0, 0.1, 0.01):
@@ -147,12 +147,13 @@ def check_averaged_wave(seed=3):
     return _result("averaged_wave_quadrature", worst, 1e-9)
 
 
-def check_potential_blocks(n_steps=1500):
+def check_potential_blocks():
     """The streamed potentials of a forward march against ``averaged_wave``, bit for bit.
 
     At M = 48 a block holds 697 steps, so 1500 steps span three blocks
     and end in a partial one. Step k takes its potential at t_k = k tau.
     """
+    n_steps = 1500
     params, _, layer = _toy_setup(tau=1.0 / n_steps)
     tau = params.tau
     differ = [
@@ -166,18 +167,19 @@ def check_potential_blocks(n_steps=1500):
     return CheckResult("potential_blocks", True, f"bit for bit over {n_steps} steps")
 
 
-def check_potential_producer(n_steps=10):
+def check_potential_producer():
     """The producer process's stream of potentials against the in-process stream, bit for bit.
 
-    At M = 16386 every block is one row, so the producer may serve the
-    stream; 10 rows wrap its 3-slot ring three times.
+    A march takes this stream from 2^20 node-rows on; the check calls it
+    directly, in one-row blocks: 10 rows wrap the 3-slot ring three times.
     """
+    n_steps = 10
     if "fork" not in multiprocessing.get_all_start_methods():
         return CheckResult("potential_producer", True, "no fork start method: streams run in process")
     params, _, layer = _toy_setup(M=16386, tau=1.0 / n_steps)
     tau = params.tau
     # read whole before comparing: a row must not change when its slot is reused
-    produced = list(layer._produced(1, n_steps + 1, tau))
+    produced = list(layer._produced(1, n_steps + 1, tau, 1))
     here = layer._computed(1, n_steps + 1, tau, 1)
     differ = [
         k for k, a, b in zip(range(1, n_steps + 1), produced, here) if not np.array_equal(a, b)
@@ -213,16 +215,16 @@ def _round_trip(name, state0, params, layer, n_steps):
     return _result(name, worst / scale, 1e-8)
 
 
-def check_reversibility_coupled(n_steps=100):
+def check_reversibility_coupled():
     params, data, layer = _toy_setup()
     state0 = first_state(params, data, layer)
-    return _round_trip("reversibility_coupled", state0, params, layer, n_steps)
+    return _round_trip("reversibility_coupled", state0, params, layer, 100)
 
 
-def check_reversibility_limit(n_steps=100):
+def check_reversibility_limit():
     params, data, layer = _toy_setup()
     state0 = first_state_kg(params, data, layer)
-    return _round_trip("reversibility_limit", state0, params, layer, n_steps)
+    return _round_trip("reversibility_limit", state0, params, layer, 100)
 
 
 def whole_trajectory_limit(params, data):
@@ -284,19 +286,19 @@ def check_zero_fixed_point():
     return CheckResult("zero_fixed_point", passed, f"max |state| = {worst:.3e}")
 
 
-def check_dirichlet_boundary(n_steps=25):
+def check_dirichlet_boundary():
     params, data, layer = _toy_setup(eps=0.2, M=64, tau=0.02)
     worst = 0.0
     start = first_state(params, data, layer)
-    for state in march(start, lambda s: step(s, params, layer), n_steps):
+    for state in march(start, lambda s: step(s, params, layer), 25):
         for v in (state.E_curr, state.F_curr):
             worst = max(worst, abs(v[0]), abs(v[-1]))
     passed = worst == 0.0
     return CheckResult("dirichlet_boundary", passed, f"max boundary value = {worst:.3e}")
 
 
-def check_tridiagonal_dense(seed=4):
-    rng = np.random.default_rng(seed)
+def check_tridiagonal_dense():
+    rng = np.random.default_rng(4)
     worst = 0.0
     for n in (1, 2, 3, 10, 50):
         lower = rng.standard_normal(max(n - 1, 0))
@@ -318,14 +320,14 @@ def check_tridiagonal_dense(seed=4):
     return _result("tridiagonal_vs_dense", worst, 1e-12)
 
 
-def check_tridiagonal_factored(seed=6):
+def check_tridiagonal_factored():
     """A factor reused across right-hand sides against gtsv and a dense solve.
 
     Density-type systems are a constant SPD Toeplitz matrix given by its
     scalars, as the time stepper factors it; field-type systems have a
     diagonal that varies from row to row.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(6)
     inv_t2, inv_h2 = 1e4, 1.0 / 0.05**2
     worst = 0.0
     for n in (1, 2, 3, 50, 1000):
@@ -350,8 +352,8 @@ def check_tridiagonal_factored(seed=6):
     return _result("tridiagonal_factored", worst, 1e-12)
 
 
-def check_poisson_dense(seed=5):
-    rng = np.random.default_rng(seed)
+def check_poisson_dense():
+    rng = np.random.default_rng(5)
     worst = 0.0
     for M in (4, 16, 64):
         grid = Grid1D(-1.0, 2.0, M)

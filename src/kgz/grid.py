@@ -189,7 +189,7 @@ def _require_rhs(rhs, n):
     return rhs
 
 
-def solve_tridiagonal(lower, diag, upper, rhs, require_dominant=True):
+def solve_tridiagonal(lower, diag, upper, rhs):
     """Solve a tridiagonal system by pivoting-free style elimination.
 
     ``lower`` and ``upper`` hold the n-1 off-diagonal entries, ``diag`` and
@@ -198,9 +198,7 @@ def solve_tridiagonal(lower, diag, upper, rhs, require_dominant=True):
     row interchange ever fires, so the result matches plain forward
     elimination with back substitution to roundoff. Rows may be weakly
     dominant (margin zero, as in the discrete Laplacian); a row whose
-    off-diagonal mass exceeds the diagonal is rejected unless the caller
-    passes ``require_dominant=False`` and accepts the residual check as the
-    only guarantee.
+    off-diagonal mass exceeds the diagonal is rejected.
 
     This is the one-shot path, for a matrix that changes with every
     solve, such as the field system of the time stepper. A matrix that
@@ -220,18 +218,15 @@ def solve_tridiagonal(lower, diag, upper, rhs, require_dominant=True):
     n, lower, diag, upper = _diagonals(lower, diag, upper)
     rhs = _require_rhs(rhs, n)
 
-    if require_dominant:
-        margin = np.abs(diag).copy()
-        if n > 1:
-            margin[:-1] -= np.abs(upper)
-            margin[1:] -= np.abs(lower)
-        worst = int(np.argmin(margin))
-        if margin[worst] < 0.0:
-            raise IllConditionedError(
-                f"diagonal dominance lost at row {worst} "
-                f"(margin {margin[worst]:.3e}); pass require_dominant=False "
-                "to attempt the solve anyway"
-            )
+    margin = np.abs(diag).copy()
+    if n > 1:
+        margin[:-1] -= np.abs(upper)
+        margin[1:] -= np.abs(lower)
+    worst = int(np.argmin(margin))
+    if margin[worst] < 0.0:
+        raise IllConditionedError(
+            f"diagonal dominance lost at row {worst} (margin {margin[worst]:.3e})"
+        )
 
     return _solve_tridiagonal(lower, diag, upper, rhs)
 
@@ -389,8 +384,8 @@ def _checked_solve(solve, lower, diag, upper, rhs):
 def solve_poisson_dirichlet(f, grid):
     """Solve -d2(phi) = f on the interior with zero boundary values.
 
-    The matrix is only weakly dominant, which is still safe for elimination
-    without pivoting, hence the relaxed dominance requirement.
+    The matrix is only weakly dominant: an interior row's margin
+    2/h^2 - 1/h^2 - 1/h^2 is exactly 0.0, which :func:`solve_tridiagonal` accepts.
     """
     f = _require_grid_fn(f, grid)
     n = grid.M - 1
@@ -398,5 +393,5 @@ def solve_poisson_dirichlet(f, grid):
     diag = np.full(n, 2.0 * inv_h2)
     off = np.full(n - 1, -inv_h2)
     phi = grid.zeros()
-    phi[1:-1] = solve_tridiagonal(off, diag, off, f[1:-1], require_dominant=False)
+    phi[1:-1] = solve_tridiagonal(off, diag, off, f[1:-1])
     return phi

@@ -259,7 +259,7 @@ def read_table(path):
 
 
 _PAPER_EPS = tuple(0.5**i for i in range(9))
-_LIMIT_DEFAULTS = dict(h0=0.05, tau0=1e-3, levels=2, eps_list=tuple(0.5**i for i in range(2, 7)))
+_LIMIT_DEFAULTS = dict(h0=0.05, tau0=1e-3, eps_list=tuple(0.5**i for i in range(2, 7)))
 # the defaults of a sweep by (mode, paper_scale); eps_limit has no paper scale
 _SWEEP_DEFAULTS = {
     ("spatial", False): dict(h0=0.2, tau0=1e-4, levels=4, eps_list=(1.0, 0.25, 0.0625)),
@@ -297,7 +297,8 @@ class SweepSpec:
         given = {name: getattr(self, name) for name in defaults if getattr(self, name) is not None}
         out = replace(self, **{**defaults, **given})
         out = replace(out, eps_list=tuple(out.eps_list))
-        _check_count(out.levels, "levels", 2)
+        if out.mode != "eps_limit":  # the one mode that runs no levels
+            _check_count(out.levels, "levels", 2)
         _check_count(out.workers, "workers", 1)
         _check_refine(out.refine_space, "refine_space")
         _check_refine(out.refine_time, "refine_time")

@@ -11,13 +11,12 @@ stream, ``InitialLayer._potentials``. The potential depends on the time
 alone, so the stream computes it ahead, a block of ``_BLOCK_NODES // (M - 1)``
 rows (at least one) per DST call. A forked producer process computes the
 blocks beside the march and hands them over through a ring of shared
-slots when the stream is long enough to pay for the fork (2^20 node-rows
-or more) or its blocks are single rows (M - 1 > 2^14). The producer serves
-a stream only in a process that is not itself a ``multiprocessing`` child
-(pool workers already share the cores), with at least 2 CPUs in its
-affinity mask and the ``fork`` start method; otherwise the stream runs in
-process. Either way every row has the bits of ``averaged_wave`` at its
-time.
+slots when the stream is long enough to pay for the fork: 2^20 node-rows
+or more, whatever its block size. The producer serves a stream only in a
+process that is not itself a ``multiprocessing`` child (pool workers
+already share the cores), with at least 2 CPUs in its affinity mask and
+the ``fork`` start method; otherwise the stream runs in process. Either
+way every row has the bits of ``averaged_wave`` at its time.
 """
 
 import multiprocessing
@@ -45,15 +44,14 @@ _PRODUCER_NODES = 2**20
 _POLL_S = 1.0
 
 
-def _use_producer(rows, nodes=0):
-    """Whether a stream of ``rows``-row blocks and ``nodes`` node-rows is served by a producer process.
+def _use_producer(nodes):
+    """Whether a stream of ``nodes`` node-rows is served by a producer process.
 
-    One-row blocks qualify at any length, other blocks from
-    ``_PRODUCER_NODES`` node-rows on; either only where a producer can run
-    beside the march.
+    A stream qualifies from ``_PRODUCER_NODES`` node-rows on, whatever its
+    block size, and only where a producer can run beside the march.
     """
     return (
-        (rows == 1 or nodes >= _PRODUCER_NODES)
+        nodes >= _PRODUCER_NODES
         and multiprocessing.parent_process() is None
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
@@ -163,13 +161,12 @@ class InitialLayer:
         The potentials depend on t_k alone, never on the solution, so a
         forward march takes them from here, computed ahead in blocks of
         ``_BLOCK_NODES // (M - 1)`` rows (at least one): by a producer
-        process when ``_use_producer`` allows it for the stream's block size
-        and node-rows, in process otherwise. A caller closes the stream when
-        it stops early or fails (``contextlib.closing``), which ends the
-        producer.
+        process when ``_use_producer`` allows it for the stream's node-rows,
+        in process otherwise. A caller closes the stream when it stops early
+        or fails (``contextlib.closing``), which ends the producer.
         """
         rows = max(1, _BLOCK_NODES // (self.grid.M - 1))
-        if _use_producer(rows, (k_stop - k_first) * (self.grid.M - 1)):
+        if _use_producer((k_stop - k_first) * (self.grid.M - 1)):
             return self._produced(k_first, k_stop, tau, rows)
         return self._computed(k_first, k_stop, tau, rows)
 
@@ -186,12 +183,14 @@ class InitialLayer:
         for block in self._blocks(k_first, k_stop, tau, rows):
             yield from block
 
-    def _produced(self, k_first, k_stop, tau, rows=1):
+    def _produced(self, k_first, k_stop, tau, rows):
         """The stream of ``_potentials`` with its ``rows``-row blocks computed by a forked producer process.
 
-        The producer writes block i of the stream into slot i mod
-        ``_RING_SLOTS`` of a shared ring. ``free`` counts the slots it may
-        write and ``full`` the blocks the march may read. Each block is
+        ``_potentials`` takes this path for a stream that ``_use_producer``
+        grants by its node-rows alone; called directly it serves a stream of
+        any length. The producer writes block i of the stream into slot i
+        mod ``_RING_SLOTS`` of a shared ring. ``free`` counts the slots it
+        may write and ``full`` the blocks the march may read. Each block is
         copied out of its slot before the slot goes back, so its rows keep
         their bits. The producer is joined on every exit of the stream,
         terminated first if it still runs; should it die early, the stream

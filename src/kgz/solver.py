@@ -388,7 +388,7 @@ def _snapshot_indices(params, snapshot_times):
                 f"nearest aligned times: {aligned}"
             )
         idx.append(k)
-    return K, idx
+    return idx
 
 
 def run(params, data, snapshot_times=None):
@@ -399,7 +399,7 @@ def run(params, data, snapshot_times=None):
     """
     if snapshot_times is None:
         snapshot_times = [params.T]
-    K, idx = _snapshot_indices(params, snapshot_times)
+    idx = _snapshot_indices(params, snapshot_times)
     layer = build_layer(params, data)
     state = first_state(params, data, layer)
     levels = {0: (state.E_prev, state.F_prev)} if 0 in idx else {}

@@ -40,7 +40,9 @@ def test_potential_producer_names_the_changed_row(monkeypatch):
     produced = InitialLayer._produced
     monkeypatch.setattr(
         InitialLayer, "_produced",
-        lambda self, k_first, k_stop, tau: _nudged(produced(self, k_first, k_stop, tau), k_first, 4),
+        lambda self, k_first, k_stop, tau, rows: _nudged(
+            produced(self, k_first, k_stop, tau, rows), k_first, 4
+        ),
     )
     result = check_potential_producer()
     assert not result.passed

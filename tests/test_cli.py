@@ -224,6 +224,14 @@ class TestLimitStudy:
         assert "eps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eps_limit_sweep_ignores_levels(self, tmp_path):
+        args = ["sweep", "--mode", "eps-limit", "--eps-list", "0.5", "--T", "0.25",
+                "--h0", "0.5", "--tau0", "0.05"]
+        given, default = tmp_path / "given.csv", tmp_path / "default.csv"
+        assert main([*args, "--levels", "1", "--out", str(given)]) == 0
+        assert main([*args, "--out", str(default)]) == 0
+        assert given.read_bytes() == default.read_bytes()
+
     def test_blow_up_exits_2_and_writes_no_csv(self, tmp_path, monkeypatch, capsys):
         # E0 = 2 exp(-x^2): the limit model loses diagonal dominance in the
         # step from k = 5, inside the lockstep march of both models

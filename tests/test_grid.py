@@ -223,9 +223,7 @@ class TestTridiagonal:
 
     def test_zero_pivot(self):
         with pytest.raises(SingularSystemError):
-            solve_tridiagonal(
-                np.zeros(1), np.zeros(2), np.zeros(1), np.ones(2), require_dominant=False
-            )
+            solve_tridiagonal(np.zeros(1), np.zeros(2), np.zeros(1), np.ones(2))
 
     def test_dominance_guard(self):
         with pytest.raises(IllConditionedError):

@@ -42,8 +42,8 @@ SWEEP_DEFAULTS = {
     ("spatial", True): (0.2, 1e-5, 6, PAPER_EPS),
     ("temporal", False): (0.005, 0.05, 6, (1.0, 0.0625)),
     ("temporal", True): (2.5e-4, 0.05, 8, PAPER_EPS),
-    ("eps_limit", False): (0.05, 1e-3, 2, (0.25, 0.125, 0.0625, 0.03125, 0.015625)),
-    ("eps_limit", True): (0.05, 1e-3, 2, (0.25, 0.125, 0.0625, 0.03125, 0.015625)),
+    ("eps_limit", False): (0.05, 1e-3, None, (0.25, 0.125, 0.0625, 0.03125, 0.015625)),
+    ("eps_limit", True): (0.05, 1e-3, None, (0.25, 0.125, 0.0625, 0.03125, 0.015625)),
 }
 
 
@@ -515,6 +515,12 @@ class TestRunSweep:
                 SweepSpec(mode="temporal", case="I", eps_list=(1.0,), h0=0.5, tau0=0.05,
                           levels=2, T=0.1, refine_time=3)
             )
+
+    def test_levels_checked_only_where_levels_run(self):
+        assert SweepSpec(mode="eps_limit", levels=1).resolved().levels == 1
+        for mode in ("spatial", "temporal"):
+            with pytest.raises(ParameterError, match="levels"):
+                SweepSpec(mode=mode, levels=1).resolved()
 
     @pytest.mark.parametrize(
         "change",

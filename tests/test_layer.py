@@ -175,26 +175,27 @@ class TestAveragedWave:
 
 
 class TestPotentialProducer:
-    """At M - 1 > 2^14 every block is one row, and a forked process may compute the rows."""
+    """At M - 1 > 2^14 every block is one row; a forked process computes a long stream's rows."""
 
     @pytest.fixture
     def layer(self, rng):
         return make_layer(rng, Grid1D(-6.0, 6.0, 16386), eps=0.25)
 
     def test_rule(self, two_cpus):
-        assert kgz.layer._use_producer(1)
-        assert not kgz.layer._use_producer(2)
+        assert kgz.layer._use_producer(2**20)
+        assert not kgz.layer._use_producer(2**20 - 1)
 
     def test_one_cpu_stays_in_process(self, layer, monkeypatch):
         monkeypatch.setattr(kgz.layer.os, "sched_getaffinity", lambda pid: {0})
-        assert not kgz.layer._use_producer(1)
-        stream = layer._potentials(1, 5, 0.01)
+        assert not kgz.layer._use_producer(2**20)
+        # 64 rows of 16385 nodes are past 2^20 node-rows
+        stream = layer._potentials(1, 1 + 64, 0.01)
         next(stream)
         assert multiprocessing.active_children() == []
 
     def test_pool_worker_stays_in_process(self, two_cpus):
         with ProcessPoolExecutor(max_workers=1) as pool:
-            assert not pool.submit(kgz.layer._use_producer, 1).result()
+            assert not pool.submit(kgz.layer._use_producer, 2**20).result()
 
     def test_small_grid_stays_in_process(self, rng, two_cpus):
         layer = make_layer(rng, Grid1D(-6.0, 6.0, 920), eps=0.25)
@@ -204,14 +205,14 @@ class TestPotentialProducer:
     def test_rows_match_in_process_stream(self, layer):
         # 8 rows wrap the 3-slot ring twice
         want = list(layer._computed(3, 11, 0.01, 1))
-        got = list(layer._produced(3, 11, 0.01))
+        got = list(layer._produced(3, 11, 0.01, 1))
         assert len(got) == len(want) == 8
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert multiprocessing.active_children() == []
 
     def test_closed_early_ends_producer(self, layer):
-        stream = layer._produced(1, 50, 0.01)
+        stream = layer._produced(1, 50, 0.01, 1)
         first = next(stream)
         assert len(multiprocessing.active_children()) == 1
         stream.close()
@@ -220,7 +221,7 @@ class TestPotentialProducer:
 
     def test_dead_producer_falls_back_in_process(self, layer, monkeypatch):
         monkeypatch.setattr(kgz.layer, "_POLL_S", 0.05)
-        stream = layer._produced(1, 9, 0.01)
+        stream = layer._produced(1, 9, 0.01, 1)
         got = [next(stream)]
         (producer,) = multiprocessing.active_children()
         producer.kill()
@@ -232,12 +233,12 @@ class TestPotentialProducer:
 
     def test_tau_validation(self, layer):
         with pytest.raises(ParameterError):
-            next(layer._produced(1, 5, 0.0))
+            next(layer._produced(1, 5, 0.0, 1))
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf])
     def test_non_finite_tau_rejected(self, layer, tau):
         with pytest.raises(ParameterError, match="finite"):
-            next(layer._produced(1, 5, tau))
+            next(layer._produced(1, 5, tau, 1))
 
 
 class TestBlockProducer:
@@ -282,9 +283,9 @@ class TestBlockProducer:
             assert np.array_equal(a, b)
 
     def test_rule(self, two_cpus):
-        assert not kgz.layer._use_producer(2, 2**20 - 1)
-        assert kgz.layer._use_producer(2, 2**20)
-        assert kgz.layer._use_producer(52, 2**22)
+        assert not kgz.layer._use_producer(2**20 - 1)
+        assert kgz.layer._use_producer(2**20)
+        assert kgz.layer._use_producer(2**22)
 
     def test_below_threshold_stays_in_process(self, layer, two_cpus):
         # 1693 rows of 619 nodes are just under 2^20 node-rows
@@ -302,11 +303,32 @@ class TestBlockProducer:
 
     def test_pool_worker_stays_in_process(self, two_cpus):
         with ProcessPoolExecutor(max_workers=1) as pool:
-            assert not pool.submit(kgz.layer._use_producer, 52, 2**22).result()
+            assert not pool.submit(kgz.layer._use_producer, 2**22).result()
 
     def test_one_cpu_stays_in_process(self, layer, monkeypatch):
         monkeypatch.setattr(kgz.layer.os, "sched_getaffinity", lambda pid: {0})
-        assert not kgz.layer._use_producer(52, 2**22)
+        assert not kgz.layer._use_producer(2**22)
         stream = layer._potentials(1, 1 + 4096, 0.01)
         next(stream)
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("M, rows", [(16386, 1), (620, 52)], ids=["one-row", "52-row"])
+def test_producer_rule_is_node_rows_alone(rng, two_cpus, M, rows):
+    """Either block size: in process below 2^20 node-rows, a producer from there on."""
+    assert not kgz.layer._use_producer(2**20 - 1)
+    assert kgz.layer._use_producer(2**20)
+    layer = make_layer(rng, Grid1D(-6.0, 6.0, M), eps=0.25)
+    nodes = M - 1
+    assert max(1, kgz.layer._BLOCK_NODES // nodes) == rows
+    # the longest stream below 2^20 node-rows, and one row more
+    below = (2**20 - 1) // nodes
+    stream = layer._potentials(1, 1 + below, 0.01)
+    next(stream)
+    assert multiprocessing.active_children() == []
+    stream = layer._potentials(1, 2 + below, 0.01)
+    first = next(stream)
+    assert len(multiprocessing.active_children()) == 1
+    stream.close()
+    assert multiprocessing.active_children() == []
+    assert np.array_equal(first, layer.averaged_wave(0.01, 0.01))

@@ -223,7 +223,7 @@ def formula_step(state, params, layer):
         second_difference(E_prev, grid)[1:-1] - c[1:-1] * E_prev[1:-1]
     )
     E_next = grid.zeros()
-    E_next[1:-1] = solve_tridiagonal(off, diag, off, rhs, require_dominant=False)
+    E_next[1:-1] = solve_tridiagonal(off, diag, off, rhs)
     if F is None:
         return E_next, None
     s = 0.5 / params.eps**2
@@ -687,7 +687,8 @@ class TestOneThreadHotPath:
         assert cpu <= 1.25 * wall
 
     def test_run_joins_producer(self, two_cpus, produced):
-        params = toy_params(M=16386, tau=0.01, T=0.06)
+        # M = 16386, 65 steps: a stream of 64 rows of 16385 nodes, past 2^20 node-rows
+        params = toy_params(M=16386, tau=0.01, T=0.65)
         data = preset_initial_data("gauss_sech")
         (snap,) = run(params, data)
         assert len(produced) == 1 and multiprocessing.active_children() == []
@@ -702,12 +703,12 @@ class TestOneThreadHotPath:
 
         monkeypatch.setattr(kgz.solver, "_step", failing)
         with pytest.raises(StabilityError) as info:
-            run(toy_params(M=16386, tau=0.01, T=0.5), preset_initial_data("gauss_sech"))
+            run(toy_params(M=16386, tau=0.01, T=0.65), preset_initial_data("gauss_sech"))
         assert info.value.k == 3
         assert len(produced) == 1 and multiprocessing.active_children() == []
 
     def test_lockstep_joins_producer(self, two_cpus, produced, monkeypatch):
-        monkeypatch.setattr(kgz.layer, "_BLOCK_NODES", 5)
+        monkeypatch.setattr(kgz.layer, "_PRODUCER_NODES", 1)  # any stream gets a producer
         params = toy_params(M=48, T=0.11)
         data = preset_initial_data("gauss_sech")
         _lockstep_metrics(params, data)
