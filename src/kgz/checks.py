@@ -1,9 +1,9 @@
 """Self-contained property suite behind the `kgz check` command.
 
 Every check pits an implementation against an independent route: dense
-linear algebra, brute-force summation, quadrature, whole stored
-trajectories, or an exact algebraic identity. All of them run on
-desk-scale grids in well under a minute.
+linear algebra, brute-force summation, quadrature, the level-by-level
+limit metrics of whole stored trajectories, or an exact algebraic
+identity. All of them run on desk-scale grids in well under a minute.
 """
 
 import multiprocessing
@@ -26,12 +26,7 @@ from .grid import (
 )
 from .harness import _limit_summary
 from .layer import InitialLayer
-from .limits import (
-    LimitMetrics,
-    _time_derivatives,
-    first_state_kg,
-    trajectory_kg,
-)
+from .limits import first_state_kg, limit_metrics, trajectory_kg
 from .presets import preset_initial_data
 from .solver import (
     InitialData,
@@ -227,34 +222,15 @@ def check_reversibility_limit():
     return _round_trip("reversibility_limit", state0, params, layer, 100)
 
 
-def whole_trajectory_limit(params, data):
-    """The limit metrics of one eps from whole trajectories, each quantity normed as one stack.
-
-    The reference of the streamed eps-limit task: both models run alone
-    and are stored whole, and no level is reduced before the last exists.
-    """
-    coupled = trajectory(params, data)
-    limit = trajectory_kg(params, data, build_layer(params, data))
-    dF, ddF = _time_derivatives(coupled.F, params.tau)
-    nF, ndF, nddF = (grid_norms(v, params.grid) for v in (coupled.F, dF, ddF))
-    diff = grid_norms(coupled.E - limit.E, params.grid)
-    return LimitMetrics(
-        times=coupled.times,
-        eta_2=nF.l2 / params.eps + ndF.l2 + nddF.l2,
-        eta_inf=nF.inf / params.eps + ndF.inf + nddF.inf,
-        eta_e=diff.l2 + diff.h1_semi,
-        f_l2=nF.l2,
-    )
-
-
 def check_limit_lockstep():
-    """The streamed eps-limit task against whole trajectories, bit for bit.
+    """The streamed eps-limit task against ``limit_metrics`` of whole trajectories, bit for bit.
 
     K = 100 levels span several reduction blocks and end in a partial one.
     """
-    params, data, _ = _toy_setup(eps=0.25)
+    params, data, layer = _toy_setup(eps=0.25)
     summary = _limit_summary(params, data)
-    ref = whole_trajectory_limit(params, data)
+    limit = trajectory_kg(params, data, layer)
+    ref = limit_metrics(trajectory(params, data), limit, params.grid, params.tau)
     k = int(np.argmax(ref.eta_e))
     expected = {
         "max_eta_e": float(ref.eta_e[k]),

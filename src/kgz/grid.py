@@ -119,7 +119,9 @@ def grid_norms(u, grid):
         raise ShapeError(f"grid function(s) of shape {u.shape}, grid wants rows of {grid.M + 1}")
     norms = (_l2(u, grid), _h1(u, grid), _inf(u, grid))
     if u.ndim == 1:
-        return GridNorms(*map(float, norms))
+        # a list, not a map: a star-call builds a map's tuple by resizing, and
+        # every 3-tuple it frees then stays on CPython's tuple free list
+        return GridNorms(*[float(n) for n in norms])
     return GridNorms(*norms)
 
 

@@ -7,7 +7,8 @@ restricted back by injection at the shared nodes. Reference factors of 8x
 a reference-independence check lives in the test suite.
 
 Every file the harness writes (rate table, limit-study curves, solve
-snapshot) has one CSV layout, written by ``_write_csv``.
+snapshot) has one CSV layout, written by ``_write_csv``. It is written
+atomically, and takes the mode of a new file under the umask.
 
 With ``workers > 1`` the tasks of a sweep or limit study run in a process
 pool, which is handed the largest task first (by node-steps, a reference's
@@ -207,10 +208,14 @@ def write_table(table, path):
 
 
 def _atomic_write(path, text):
+    """Write ``text`` to a temp file beside ``path``, then rename it onto ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
+            umask = os.umask(0)  # the umask is read by setting it
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # the mode open gives, not mkstemp's 0o600
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -542,11 +547,18 @@ def limit_study(preset, case, eps_list=None, h=None, tau=None, T=1.0, alpha=None
 
 
 def write_snapshots(out_prefix, snaps, params):
-    """One CSV per snapshot time with node coordinates and all fields."""
+    """One CSV per snapshot time with node coordinates and all fields.
+
+    A file is named by its time to 6 significant digits; two times on one
+    name are a ParameterError before any file is written.
+    """
     grid = params.grid
-    paths = []
-    for snap in snaps:
-        path = f"{out_prefix}_t{snap.t:g}.csv"
+    paths = [f"{out_prefix}_t{snap.t:g}.csv" for snap in snaps]
+    named = {}
+    for path, snap in zip(paths, snaps):
+        if named.setdefault(path, snap.t) != snap.t:
+            raise ParameterError(f"snapshot times {named[path]!r} and {snap.t!r} both write {path}")
+    for path, snap in zip(paths, snaps):
         meta = {
             "eps": f"{params.eps:g}",
             "alpha": f"{params.alpha:g}",
@@ -558,5 +570,4 @@ def write_snapshots(out_prefix, snaps, params):
         }
         rows = zip(grid.nodes, snap.E, snap.F, snap.N)
         _write_csv(path, "kgz solve snapshot", meta, "x,E,F,N", rows)
-        paths.append(path)
     return paths

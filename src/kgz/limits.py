@@ -16,11 +16,12 @@ side, and the one-sided differences at either end the first or the last
 four levels (so a run needs at least four). The eps-limit task marches the
 coupled scheme and its limit model in lockstep, one averaged potential per
 step for both, and holds O(M) arrays plus the O(K) curves whatever the
-number of steps K. :func:`limit_metrics` is the same reduction fed from
-whole trajectories, which :func:`kgz.solver.trajectory` and
-:func:`trajectory_kg` still record. Every norm is taken row by row, as
-:func:`kgz.grid.grid_norms` takes a stack, so neither the block size nor
-the route changes a bit of the result.
+number of steps K. :func:`limit_metrics` is the level-by-level reference:
+it takes whole trajectories, which :func:`kgz.solver.trajectory` and
+:func:`trajectory_kg` still record, and computes each level from its
+definition. Every norm is taken row by row, as :func:`kgz.grid.grid_norms`
+takes a stack, so neither the block size nor the route changes a bit of
+the result.
 """
 
 from collections import deque
@@ -63,20 +64,6 @@ def _one_sided(F, tau):
     """
     dF = (-3.0 * F[0] + 4.0 * F[1] - F[2]) / (2.0 * tau)
     ddF = (2.0 * F[0] - 5.0 * F[1] + 4.0 * F[2] - F[3]) / tau**2
-    return dF, ddF
-
-
-def _time_derivatives(F, tau):
-    """Centered first and second time differences with one-sided ends, over a whole stack."""
-    K = F.shape[0] - 1
-    if K < 3:
-        raise ShapeError("need at least 4 time levels for the time derivatives")
-    dF = np.empty_like(F)
-    ddF = np.empty_like(F)
-    dF[1:-1], ddF[1:-1] = _centered(F, tau)
-    dF[0], ddF[0] = _one_sided(F[:4], tau)
-    d_end, ddF[-1] = _one_sided(F[:-5:-1], tau)
-    dF[-1] = -d_end
     return dF, ddF
 
 
@@ -183,7 +170,9 @@ def limit_metrics(kgz_traj, kg_traj, grid, tau):
     eta_2 and eta_inf weigh the corrected density and its first two time
     derivatives (the density part scaled by 1/eps); eta_e is the discrete
     H1 distance between the two fields, taken as the L2 norm plus the
-    seminorm to match the error metric used elsewhere.
+    seminorm to match the error metric used elsewhere. The reference of the
+    streamed reduction: each level is taken from its definition (one-sided
+    at levels 0 and K, so K >= 3), in O(M) memory beyond the inputs.
     """
     if kgz_traj.E.shape != kg_traj.E.shape:
         raise ShapeError("trajectories have different shapes")
@@ -191,10 +180,26 @@ def limit_metrics(kgz_traj, kg_traj, grid, tau):
         raise ShapeError("trajectories do not live on the given grid")
     if not np.array_equal(kgz_traj.times, kg_traj.times):
         raise ShapeError("trajectories use different time levels")
-    reducer = _LimitReducer(kgz_traj.times.copy(), grid, tau, kgz_traj.eps)
-    for F, E, E_kg in zip(kgz_traj.F, kgz_traj.E, kg_traj.E):
-        reducer.push(F, E, E_kg)
-    return reducer.finish()
+    F, eps = kgz_traj.F, kgz_traj.eps
+    K = len(F) - 1
+    if K < 3:
+        raise ShapeError("need at least 4 time levels for the time derivatives")
+    eta_2, eta_inf, eta_e, f_l2 = np.empty((4, K + 1))
+    for k in range(K + 1):
+        if k == 0:
+            dF, ddF = _one_sided(F[:4], tau)
+        elif k == K:
+            dF, ddF = _one_sided(F[:-5:-1], tau)
+            dF = -dF
+        else:
+            (dF,), (ddF,) = _centered(F[k - 1 : k + 2], tau)
+        nF, ndF, nddF = (grid_norms(v, grid) for v in (F[k], dF, ddF))
+        diff = grid_norms(kgz_traj.E[k] - kg_traj.E[k], grid)
+        eta_2[k] = nF.l2 / eps + ndF.l2 + nddF.l2
+        eta_inf[k] = nF.inf / eps + ndF.inf + nddF.inf
+        eta_e[k] = diff.l2 + diff.h1_semi
+        f_l2[k] = nF.l2
+    return LimitMetrics(kgz_traj.times.copy(), eta_2, eta_inf, eta_e, f_l2)
 
 
 class _Lockstep(NamedTuple):

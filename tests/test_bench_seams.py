@@ -7,6 +7,7 @@ The benchmark's modules are loaded here by path; nothing of them is run
 beyond the cheap set-up of each workload.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -15,6 +16,8 @@ import pytest
 import kgz
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(kgz.__file__).resolve().parent
+TRACER_ONLY = "# noqa: F401  perfbench/tracer.py wraps"
 
 
 def _load(name):
@@ -33,6 +36,29 @@ workloads = _load("workloads")
 def test_every_wrapped_name_resolves(module, path):
     owner, attr = tracer._resolve(kgz, module, path)
     assert callable(getattr(owner, attr))
+
+
+def _tracer_only_imports():
+    """(module, name) of every name a kgz module imports only for the tracer to wrap there."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and TRACER_ONLY in lines[node.end_lineno - 1]:
+                found += [(path.stem, alias.asname or alias.name) for alias in node.names]
+    return found
+
+
+TRACER_ONLY_IMPORTS = _tracer_only_imports()
+
+
+@pytest.mark.parametrize("module,name", TRACER_ONLY_IMPORTS,
+                         ids=[f"{m}.{n}" for m, n in TRACER_ONLY_IMPORTS])
+def test_every_tracer_only_import_is_wrapped(module, name):
+    # the other direction: an import kept for the tracer alone goes stale
+    # when the tracer stops wrapping it there
+    assert (module, name) in {w[:2] for w in tracer.WRAPPED}
 
 
 @pytest.mark.parametrize("name", ["_solve_task", "_run_tasks"])

@@ -62,3 +62,18 @@ def test_limit_lockstep_names_the_changed_curve(monkeypatch):
     result = check_limit_lockstep()
     assert not result.passed
     assert result.detail == "differs in f_l2"
+
+
+def test_limit_lockstep_checks_the_level_by_level_reference(monkeypatch):
+    limit_metrics = kgz.checks.limit_metrics
+
+    def nudged(*args):
+        out = limit_metrics(*args)
+        f_l2 = out.f_l2.copy()
+        f_l2[1] = np.nextafter(f_l2[1], np.inf)  # level 1, far below the maximum
+        return replace(out, f_l2=f_l2)
+
+    monkeypatch.setattr(kgz.checks, "limit_metrics", nudged)
+    result = check_limit_lockstep()
+    assert not result.passed
+    assert result.detail == "differs in f_l2"

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -222,6 +224,18 @@ class TestTableSerialization:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_file_takes_the_umask_mode(self, tmp_path, umask):
+        path = tmp_path / "t.csv"
+        path.write_text("old")
+        path.chmod(0o600)
+        old = os.umask(umask)
+        try:
+            write_table(self.make_table(), str(path))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
     @pytest.mark.parametrize("kind", ["limit", "snapshot", "other"])
     def test_read_table_rejects_other_csv(self, tmp_path, kind):
         path = tmp_path / "x.csv"
@@ -304,6 +318,17 @@ class TestCsvLayout:
                 "5.00000E-01,5.00000E-01,-2.50000E-01,3.33333E-01\n"
                 "1.00000E+00,0.00000E+00,0.00000E+00,0.00000E+00\n"
             )
+
+    def test_snapshot_times_sharing_a_name_write_nothing(self, tmp_path):
+        snaps = [_SNAP._replace(t=1.000001), _SNAP._replace(t=1.000002)]
+        with pytest.raises(ParameterError) as info:
+            write_snapshots(str(tmp_path / "s"), snaps, _SNAP_PARAMS)
+        assert "1.000001" in str(info.value) and "1.000002" in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_equal_snapshot_times_share_a_file(self, tmp_path):
+        paths = write_snapshots(str(tmp_path / "s"), [_SNAP, _SNAP], _SNAP_PARAMS)
+        assert paths == [str(tmp_path / "s_t0.05.csv")] * 2
 
     def test_limit_study_head(self, tmp_path):
         path = tmp_path / "l.csv"

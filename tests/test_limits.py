@@ -24,9 +24,7 @@ from kgz import (
     trajectory_kg,
 )
 import kgz.limits
-from kgz.checks import whole_trajectory_limit
 from kgz.harness import _limit_summary, make_params
-from kgz.limits import _time_derivatives
 from kgz.presets import preset_initial_data
 
 
@@ -185,9 +183,19 @@ class TestLimitMetrics:
         coupled = trajectory(params, data)
         limit = trajectory_kg(params, data, build_layer(params, data))
         metrics = limit_metrics(coupled, limit, params.grid, params.tau)
-        dF, ddF = _time_derivatives(coupled.F, params.tau)
-        for k in range(coupled.F.shape[0]):
-            nF, ndF, nddF = (grid_norms(v[k], params.grid) for v in (coupled.F, dF, ddF))
+        F, tau = coupled.F, params.tau
+        K = F.shape[0] - 1
+        for k in range(K + 1):
+            if k == 0:
+                dF = (-3.0 * F[0] + 4.0 * F[1] - F[2]) / (2.0 * tau)
+                ddF = (2.0 * F[0] - 5.0 * F[1] + 4.0 * F[2] - F[3]) / tau**2
+            elif k == K:
+                dF = -(-3.0 * F[K] + 4.0 * F[K - 1] - F[K - 2]) / (2.0 * tau)
+                ddF = (2.0 * F[K] - 5.0 * F[K - 1] + 4.0 * F[K - 2] - F[K - 3]) / tau**2
+            else:
+                dF = (F[k + 1] - F[k - 1]) / (2.0 * tau)
+                ddF = (F[k + 1] - 2.0 * F[k] + F[k - 1]) / tau**2
+            nF, ndF, nddF = (grid_norms(v, params.grid) for v in (F[k], dF, ddF))
             diff = grid_norms(coupled.E[k] - limit.E[k], params.grid)
             assert metrics.eta_2[k] == nF.l2 / params.eps + ndF.l2 + nddF.l2
             assert metrics.eta_inf[k] == nF.inf / params.eps + ndF.inf + nddF.inf
@@ -240,14 +248,46 @@ class TestLimitMetrics:
         with pytest.raises(ShapeError):
             limit_metrics(traj, short, grid, 0.1)
 
+    def test_needs_four_levels(self):
+        grid = Grid1D(0.0, 1.0, 8)
+        times = np.arange(3) * 0.1
+        traj = Trajectory(eps=0.5, times=times, E=np.zeros((3, 9)), F=np.zeros((3, 9)))
+        twin = Trajectory(eps=0.5, times=times, E=np.zeros((3, 9)))
+        with pytest.raises(ShapeError, match="at least 4 time levels"):
+            limit_metrics(traj, twin, grid, 0.1)
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        # K = 100 against K = 1000 on one grid (M = 2000), over given
+        # trajectories; the bound is that of the streamed task below
+        data = preset_initial_data("gauss_sech")
+        peaks = []
+        for tau in (1e-2, 1e-3):
+            params = toy_params(eps=0.5, M=2000, tau=tau, T=1.0, span=20.0)
+            coupled = trajectory(params, data)
+            limit = trajectory_kg(params, data, build_layer(params, data))
+            tracemalloc.start()
+            try:
+                limit_metrics(coupled, limit, params.grid, params.tau)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
 
 def assert_same_curves(got, want):
     for name in ("times", "eta_2", "eta_inf", "eta_e", "f_l2"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def level_by_level(params, data):
+    """The reference of the streamed task: ``limit_metrics`` of both models run alone and stored whole."""
+    coupled = trajectory(params, data)
+    limit = trajectory_kg(params, data, build_layer(params, data))
+    return limit_metrics(coupled, limit, params.grid, params.tau)
+
+
 class TestLockstep:
-    """The streamed eps-limit task against the whole-trajectory path, bit for bit."""
+    """The streamed eps-limit task against the level-by-level ``limit_metrics``, bit for bit."""
 
     def assert_summary_matches(self, params, data, ref):
         summary = _limit_summary(params, data)
@@ -265,18 +305,13 @@ class TestLockstep:
         monkeypatch.setattr(kgz.limits, "_BLOCK", block)
         data = preset_initial_data("gauss_sech")
         params = toy_params(eps=0.3, M=40, tau=0.01, T=0.01 * K)
-        ref = whole_trajectory_limit(params, data)
-        self.assert_summary_matches(params, data, ref)
-        # limit_metrics is the same reduction fed from whole trajectories
-        coupled = trajectory(params, data)
-        limit = trajectory_kg(params, data, build_layer(params, data))
-        assert_same_curves(limit_metrics(coupled, limit, params.grid, params.tau), ref)
+        self.assert_summary_matches(params, data, level_by_level(params, data))
 
     def test_eps_limit_configuration(self):
         # one task of the eps-limit sweep: eps = 1/16, h = 0.05, tau = 1e-3, T = 1
         params = make_params(0.0625, 1.0, 0.0, 0.05, 1e-3, 1.0)
         data = preset_initial_data("gauss_sech")
-        self.assert_summary_matches(params, data, whole_trajectory_limit(params, data))
+        self.assert_summary_matches(params, data, level_by_level(params, data))
 
     def test_peak_memory_does_not_grow_with_steps(self):
         # K = 100 against K = 1000 on one grid (M = 2000); the bound is fixed
