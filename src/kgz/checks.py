@@ -1,9 +1,9 @@
 """Self-contained property suite behind the `kgz check` command.
 
 Every check pits an implementation against an independent route: dense
-linear algebra, brute-force summation, quadrature, the level-by-level
-limit metrics of whole stored trajectories, or an exact algebraic
-identity. All of them run on desk-scale grids in well under a minute.
+linear algebra, brute-force summation, quadrature, the limit metrics of
+whole stored trajectories, a closed form, or an exact algebraic identity.
+All of them run on desk-scale grids in well under a minute.
 """
 
 import multiprocessing
@@ -31,6 +31,7 @@ from .presets import preset_initial_data
 from .solver import (
     InitialData,
     KgzParams,
+    Trajectory,
     build_layer,
     first_state,
     march,
@@ -225,7 +226,9 @@ def check_reversibility_limit():
 def check_limit_lockstep():
     """The streamed eps-limit task against ``limit_metrics`` of whole trajectories, bit for bit.
 
-    K = 100 levels span several reduction blocks and end in a partial one.
+    Both routes share one reduction, so this checks the lockstep march and
+    how its levels reach the reduction; ``check_limit_closed_form`` checks
+    the reduction itself.
     """
     params, data, layer = _toy_setup(eps=0.25)
     summary = _limit_summary(params, data)
@@ -246,6 +249,34 @@ def check_limit_lockstep():
     if differ:
         return CheckResult("limit_lockstep", False, "differs in " + ", ".join(differ))
     return CheckResult("limit_lockstep", True, f"bit for bit over {len(ref.times)} levels")
+
+
+def check_limit_closed_form():
+    """``limit_metrics`` of a synthetic density and field gap against their closed form.
+
+    F = eps sin(t) phi and E - E_kg = t psi give eta_2 = (|sin t| +
+    eps |cos t| + eps |sin t|) ||phi||, eta_inf the same in the max norm, and
+    eta_e = t (||psi|| + |psi|_1), at every level, the one-sided ends included.
+    """
+    grid, eps, tau, K = Grid1D(0.0, 1.0, 16), 0.25, 0.01, 60
+    x, t = grid.nodes, np.arange(K + 1) * tau
+    phi, psi = np.sin(np.pi * x), x * (1.0 - x) * (2.0 - x)
+    phi[0] = phi[-1] = 0.0
+    E_kg = np.zeros((K + 1, grid.M + 1))
+    coupled = Trajectory(eps=eps, times=t, E=t[:, None] * psi, F=eps * np.sin(t)[:, None] * phi)
+    got = limit_metrics(coupled, Trajectory(eps=eps, times=t, E=E_kg), grid, tau)
+    nphi, npsi = grid_norms(phi, grid), grid_norms(psi, grid)
+    weight = np.abs(np.sin(t)) + eps * (np.abs(np.cos(t)) + np.abs(np.sin(t)))
+    expected = {
+        "eta_2": weight * nphi.l2,
+        "eta_inf": weight * nphi.inf,
+        "eta_e": t * (npsi.l2 + npsi.h1_semi),
+    }
+    worst = max(
+        float(np.max(np.abs(getattr(got, name) - want) / np.maximum(want, 1e-30)))
+        for name, want in expected.items()
+    )
+    return _result("limit_closed_form", worst, 1e-3)
 
 
 def check_zero_fixed_point():
@@ -357,6 +388,7 @@ ALL_CHECKS = (
     check_reversibility_coupled,
     check_reversibility_limit,
     check_limit_lockstep,
+    check_limit_closed_form,
     check_zero_fixed_point,
     check_dirichlet_boundary,
     check_tridiagonal_dense,

@@ -1,7 +1,8 @@
-"""The failure branches of ``kgz check``: one value on the fast side moved by one ulp.
+"""The failure branches of ``kgz check``: one side of a check moved past its tolerance.
 
-Each test perturbs one row or value of the route a check verifies and
-asserts that the check fails and names where it differs.
+Each test perturbs one row or value of the route a check verifies, by one
+ulp where the check is bit for bit, and asserts that the check fails and
+names where it differs.
 """
 
 import multiprocessing
@@ -12,7 +13,12 @@ import pytest
 
 import kgz.checks
 from kgz import InitialLayer
-from kgz.checks import check_limit_lockstep, check_potential_blocks, check_potential_producer
+from kgz.checks import (
+    check_limit_closed_form,
+    check_limit_lockstep,
+    check_potential_blocks,
+    check_potential_producer,
+)
 
 
 def _nudged(stream, k_first, at):
@@ -77,3 +83,16 @@ def test_limit_lockstep_checks_the_level_by_level_reference(monkeypatch):
     result = check_limit_lockstep()
     assert not result.passed
     assert result.detail == "differs in f_l2"
+
+
+def test_limit_closed_form_checks_limit_metrics(monkeypatch):
+    limit_metrics = kgz.checks.limit_metrics
+
+    def nudged(*args):
+        out = limit_metrics(*args)
+        return replace(out, eta_e=out.eta_e * (1.0 + 1e-2))
+
+    monkeypatch.setattr(kgz.checks, "limit_metrics", nudged)
+    result = check_limit_closed_form()
+    assert not result.passed
+    assert result.detail.startswith("worst 1.0")

@@ -23,7 +23,7 @@ from kgz import (
     trajectory,
     trajectory_kg,
 )
-import kgz.limits
+import kgz.layer
 from kgz.harness import _limit_summary, make_params
 from kgz.presets import preset_initial_data
 
@@ -248,6 +248,30 @@ class TestLimitMetrics:
         with pytest.raises(ShapeError):
             limit_metrics(traj, short, grid, 0.1)
 
+    @pytest.mark.parametrize(
+        "F_rows, time_rows",
+        [(None, 5), (4, 5), (6, 5), (5, 4)],
+        ids=["no-F", "F-short", "F-long", "times-short"],
+    )
+    def test_one_row_per_level(self, F_rows, time_rows):
+        grid = Grid1D(0.0, 1.0, 8)
+        times = np.arange(time_rows) * 0.1
+        F = None if F_rows is None else np.zeros((F_rows, 9))
+        traj = Trajectory(eps=0.5, times=times, E=np.zeros((5, 9)), F=F)
+        twin = Trajectory(eps=0.5, times=times, E=np.zeros((5, 9)))
+        with pytest.raises(ShapeError):
+            limit_metrics(traj, twin, grid, 0.1)
+
+    @pytest.mark.parametrize("tau", [0.2, 0.05, 0.1 * (1.0 + 1e-6), 0.0, float("nan")])
+    def test_tau_must_space_the_levels(self, tau):
+        grid = Grid1D(0.0, 1.0, 8)
+        times = np.arange(5) * 0.1
+        traj = Trajectory(eps=0.5, times=times, E=np.zeros((5, 9)), F=np.zeros((5, 9)))
+        twin = Trajectory(eps=0.5, times=times, E=np.zeros((5, 9)))
+        with pytest.raises(ShapeError, match="not spaced by tau"):
+            limit_metrics(traj, twin, grid, tau)
+        limit_metrics(traj, twin, grid, 0.1 * (1.0 + 1e-12))
+
     def test_needs_four_levels(self):
         grid = Grid1D(0.0, 1.0, 8)
         times = np.arange(3) * 0.1
@@ -298,11 +322,20 @@ class TestLockstep:
         assert summary["max_f_over_eps"] == np.max(ref.f_l2) / params.eps
 
     # K = 3 is the four-level minimum, where the one-sided ends cover every
-    # level; K = 37 leaves a partial last block for each block size
+    # level; at K = 4 and 5 the two one-sided stencils still overlap
+    @pytest.mark.parametrize("K", [3, 4, 5, 37])
+    def test_any_level_count(self, K):
+        data = preset_initial_data("gauss_sech")
+        params = toy_params(eps=0.3, M=40, tau=0.01, T=0.01 * K)
+        self.assert_summary_matches(params, data, level_by_level(params, data))
+
+    # the lockstep task takes its averaged potentials in blocks of this many
+    # rows (M - 1 = 39 interior nodes); K = 3 takes its 2 potentials in one
+    # partial block of 3 or 16 rows, K = 37 its 36 in a partial last block of 16
     @pytest.mark.parametrize("K", [3, 37])
-    @pytest.mark.parametrize("block", [1, 3, kgz.limits._BLOCK])
+    @pytest.mark.parametrize("block", [1, 3, 16])
     def test_any_block_size(self, monkeypatch, K, block):
-        monkeypatch.setattr(kgz.limits, "_BLOCK", block)
+        monkeypatch.setattr(kgz.layer, "_BLOCK_NODES", block * 39)
         data = preset_initial_data("gauss_sech")
         params = toy_params(eps=0.3, M=40, tau=0.01, T=0.01 * K)
         self.assert_summary_matches(params, data, level_by_level(params, data))
