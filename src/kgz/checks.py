@@ -105,15 +105,15 @@ def check_dst_parseval():
     return _result("dst_parseval", worst, 1e-12)
 
 
-def triangular_average_quadrature(layer, t, tau, panels_per_period=10):
+def triangular_average_quadrature(layer, t, tau):
     """Composite Gauss quadrature of the kernel average of the layer wave.
 
-    Resolves the fastest mode with at least the requested panels per
-    oscillation period; the kernel kink at s = 0 splits the interval.
+    Resolves the fastest mode with at least 10 panels per oscillation
+    period; the kernel kink at s = 0 splits the interval.
     """
     theta_max = float(layer.theta[-1])
     periods = theta_max * tau / (2.0 * np.pi)
-    n_panels = max(16, int(np.ceil(panels_per_period * periods)) + 4)
+    n_panels = max(16, int(np.ceil(10 * periods)) + 4)
     xg, wg = np.polynomial.legendre.leggauss(8)
     total = np.zeros(layer.grid.M + 1)
     for a, b in ((-1.0, 0.0), (0.0, 1.0)):

@@ -108,40 +108,28 @@ def forward_difference(u, grid):
 
 
 def grid_norms(u, grid):
-    """Discrete L2, H1 seminorm and max norm of a grid function.
-
-    ``u`` may also be a stack of grid functions, one per row (such as every
-    time level of a trajectory); the norms then come back as arrays with one
-    entry per row, bit for bit those of the row by row calls.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[-1] != grid.M + 1:
-        raise ShapeError(f"grid function(s) of shape {u.shape}, grid wants rows of {grid.M + 1}")
-    norms = (_l2(u, grid), _h1(u, grid), _inf(u, grid))
-    if u.ndim == 1:
-        # a list, not a map: a star-call builds a map's tuple by resizing, and
-        # every 3-tuple it frees then stays on CPython's tuple free list
-        return GridNorms(*[float(n) for n in norms])
-    return GridNorms(*norms)
+    """Discrete L2, H1 seminorm and max norm of a grid function."""
+    u = _require_grid_fn(u, grid)
+    # a list, not a map: a star-call builds a map's tuple by resizing, and
+    # every 3-tuple it frees then stays on CPython's tuple free list
+    return GridNorms(*[float(n) for n in (_l2(u, grid), _h1(u, grid), _inf(u, grid))])
 
 
 # ufunc reductions, not np.sum and np.max: the same bits without the
 # wrappers' Python overhead, which a limit reduction pays on every level
 def _l2(u, grid):
-    """The ``l2`` of :func:`grid_norms`, row by row for a stack; ``u`` is not checked."""
-    return np.sqrt(grid.h * np.add.reduce(u[..., 1:-1] ** 2, axis=-1))
+    """The ``l2`` of :func:`grid_norms`; ``u`` is not checked."""
+    return np.sqrt(grid.h * np.add.reduce(u[1:-1] ** 2))
 
 
 def _h1(u, grid):
-    """The ``h1_semi`` of :func:`grid_norms`, row by row for a stack; ``u`` is not checked."""
-    # one expression, so that numpy reuses its temporary for the division
-    # and the square: a stack then costs one extra array of its size
-    return np.sqrt(grid.h * np.add.reduce(((u[..., 1:] - u[..., :-1]) / grid.h) ** 2, axis=-1))
+    """The ``h1_semi`` of :func:`grid_norms`; ``u`` is not checked."""
+    return np.sqrt(grid.h * np.add.reduce(((u[1:] - u[:-1]) / grid.h) ** 2))
 
 
 def _inf(u, grid):
-    """The ``inf`` of :func:`grid_norms`, row by row for a stack; ``u`` is not checked."""
-    return np.maximum.reduce(np.abs(u), axis=-1)
+    """The ``inf`` of :func:`grid_norms`; ``u`` is not checked."""
+    return np.maximum.reduce(np.abs(u))
 
 
 def inner_product(u, v, grid):

@@ -384,6 +384,7 @@ def _plan(spec):
     """
     spec = spec.resolved()
     alpha, beta = spec.exponents()
+    preset_initial_data(spec.preset)  # an unknown preset fails before any task runs
     tau, _, adjusted = aligned_tau(spec.T, spec.tau0)
     meta = {
         "mode": spec.mode,

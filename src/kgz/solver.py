@@ -189,10 +189,7 @@ def first_state(params, data, layer):
                 raise ParameterError(f"layer was built for {name}={built}, the run has {name}={wanted}")
     E0, E1, w0, _ = data.sample(params.grid)
     tau = params.tau
-    if layer is None:
-        ddE = second_difference(E0, params.grid) - E0 + E0**3
-    else:
-        ddE = _field_accel(E0, w0, params)
+    ddE = _field_accel(E0, np.zeros_like(w0) if layer is None else w0, params)
     ddF = 2.0 * E1**2 + 2.0 * E0 * ddE
     E1_level = E0 + tau * E1 + 0.5 * tau**2 * ddE
     F1_level = 0.5 * tau**2 * ddF

@@ -10,7 +10,7 @@ every time step.
 import numpy as np
 from scipy.fft import dst as _scipy_dst
 
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError
 from .grid import _require_grid_fn
 
 
@@ -35,7 +35,7 @@ def dst_forward(u, grid, method="fast"):
         return (2.0 / grid.M) * (_sine_matrix(grid.M) @ u[1:-1])
     if method == "fast":
         return _scipy_dst(u[1:-1], type=1) / grid.M
-    raise ValueError(f"unknown method {method!r}")
+    raise ParameterError(f"unknown method {method!r}")
 
 
 def dst_inverse(coeffs, grid, method="fast"):
@@ -52,5 +52,5 @@ def dst_inverse(coeffs, grid, method="fast"):
     elif method == "fast":
         np.divide(_scipy_dst(coeffs, type=1, axis=-1), 2.0, out=u[..., 1:-1])
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ParameterError(f"unknown method {method!r}")
     return u

@@ -136,7 +136,9 @@ class TestSolve:
         assert "parameter error" in err and "must be" in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "invalid"])
+    @pytest.mark.parametrize(
+        "content", [None, "{not json", '["eps", 0.5]'], ids=["missing", "invalid", "list"]
+    )
     def test_bad_config_exits_1(self, tmp_path, capsys, content):
         cfg = tmp_path / "cfg.json"
         if content is not None:

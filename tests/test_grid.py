@@ -130,16 +130,6 @@ class TestNormsInner:
         assert abs(n.h1_semi - h1) <= 1e-14 * h1
         assert n.inf == inf
 
-    @pytest.mark.parametrize("M", [8, 3760])
-    def test_stack_equals_rows(self, rng, M):
-        g = Grid1D(-2.0, 1.0, M)
-        stack = np.stack([random_grid_fn(rng, g) for _ in range(5)])
-        got = grid_norms(stack, g)
-        rows = [grid_norms(u, g) for u in stack]
-        for i, name in enumerate(got._fields):
-            assert got[i].shape == (5,)
-            assert np.array_equal(got[i], [r[i] for r in rows]), name
-
     def test_stack_shape_guard(self):
         g = Grid1D(0.0, 1.0, 8)
         with pytest.raises(ShapeError):
@@ -161,6 +151,12 @@ class TestNormsInner:
         assert inner_product(u, g.zeros(), g) == 0.0
         n = grid_norms(u, g)
         assert abs(inner_product(u, u, g) - n.l2**2) <= 1e-14 * n.l2**2
+
+    def test_staggered_shape_guard(self):
+        g = Grid1D(0.0, 1.0, 8)
+        for lengths in ((8, 9), (9, 8), (7, 7)):
+            with pytest.raises(ShapeError, match="cell vectors"):
+                staggered_inner_product(*(np.zeros(n) for n in lengths), g)
 
     @pytest.mark.parametrize("M", [2, 3, 4, 8, 16, 32, 64, 128])
     def test_summation_by_parts(self, rng, M):

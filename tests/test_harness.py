@@ -224,6 +224,15 @@ class TestTableSerialization:
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    def test_failed_rename_leaves_no_droppings(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(kgz.harness.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            write_table(self.make_table(), str(tmp_path / "t.csv"))
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_written_file_takes_the_umask_mode(self, tmp_path, umask):
         path = tmp_path / "t.csv"
@@ -650,6 +659,29 @@ class TestTaskList:
         base = {"preset": "gauss_sech", "alpha": 1.0, "beta": 0.0, "h": 0.5, "tau": 0.05,
                 "T": 0.25, "kind": "limit"}
         assert _submitted_tasks(monkeypatch, spec) == [dict(base, eps=0.25), dict(base, eps=0.125)]
+
+
+def _no_task_runs(tasks, workers):
+    raise AssertionError(f"{len(tasks)} tasks reached the runner")
+
+
+class TestUnknownPreset:
+    """An unknown preset fails the plan, before any task starts."""
+
+    @pytest.mark.parametrize("mode", ["spatial", "temporal", "eps_limit"])
+    def test_run_sweep(self, monkeypatch, mode):
+        monkeypatch.setattr(kgz.harness, "_run_tasks", _no_task_runs)
+        spec = SweepSpec(mode=mode, preset="nope", case="I", eps_list=(1.0,), h0=0.5,
+                         tau0=0.05, levels=2, T=0.25, workers=2)
+        with pytest.raises(ParameterError, match="unknown preset 'nope'"):
+            run_sweep(spec)
+
+    def test_limit_study(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(kgz.harness, "_run_tasks", _no_task_runs)
+        out = tmp_path / "limit.csv"
+        with pytest.raises(ParameterError, match="unknown preset 'nope'"):
+            limit_study("nope", "I", eps_list=(0.25,), h=0.5, tau=0.05, T=0.25, out_path=str(out))
+        assert not out.exists()
 
 
 def _zero(x):

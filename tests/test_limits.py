@@ -247,6 +247,12 @@ class TestLimitMetrics:
         short = Trajectory(eps=0.5, times=times[:-1], E=np.zeros((4, 9)))
         with pytest.raises(ShapeError):
             limit_metrics(traj, short, grid, 0.1)
+        twin = Trajectory(eps=0.5, times=times, E=np.zeros((5, 9)))
+        with pytest.raises(ShapeError, match="do not live on the given grid"):
+            limit_metrics(traj, twin, Grid1D(0.0, 1.0, 16), 0.1)
+        late = Trajectory(eps=0.5, times=2.0 * times, E=np.zeros((5, 9)))
+        with pytest.raises(ShapeError, match="different time levels"):
+            limit_metrics(traj, late, grid, 0.1)
 
     @pytest.mark.parametrize(
         "F_rows, time_rows",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from kgz import Grid1D, ParameterError, case_exponents, domain_for_eps, smooth_step
+from kgz import (
+    Grid1D, InitialData, ParameterError, ShapeError, case_exponents, domain_for_eps, smooth_step,
+)
 from kgz.presets import preset_initial_data, preset_names
 
 
@@ -20,6 +22,13 @@ class TestGaussSech:
         for v in data.sample(grid):
             assert v[0] == 0.0 and v[-1] == 0.0
             assert np.all(np.isfinite(v))
+
+    def test_sample_rejects_a_wrong_shape(self):
+        good = preset_initial_data("gauss_sech")
+        data = InitialData(E0=good.E0, E1=lambda x: good.E1(x)[:-1], omega0=good.omega0,
+                           omega1=good.omega1)
+        with pytest.raises(ShapeError, match="wrong shape"):
+            data.sample(Grid1D(-31.0, 31.0, 62))
 
     def test_decays_before_boundary(self):
         data = preset_initial_data("gauss_sech")

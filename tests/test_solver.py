@@ -586,6 +586,11 @@ class TestScaling:
         assert s.x_s == pytest.approx(np.sqrt(3.0) * 0.1 / 2.0, rel=1e-15)
         assert s.E_s == pytest.approx(2.0, rel=1e-15)
 
+    def test_warns_above_the_analysis_range(self):
+        with pytest.warns(UserWarning, match="exceeds the analysis range"):
+            s = nondimensionalize(v0=1.0, omega_p=1.0, c_s=1.0, n0=1.0, eps0=1.0, m=1.0, N0=1.0)
+        assert s.eps == pytest.approx(np.sqrt(3.0), rel=1e-15)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             nondimensionalize(v0=0.0, omega_p=1.0, c_s=1.0, n0=1.0, eps0=1.0, m=1.0, N0=1.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgz import Grid1D, ShapeError, dst_forward, dst_inverse
+from kgz import Grid1D, ParameterError, ShapeError, dst_forward, dst_inverse
 from conftest import random_grid_fn
 
 
@@ -117,6 +117,13 @@ class TestPairProperties:
             dst_forward(np.zeros(4), g)
         with pytest.raises(ShapeError):
             dst_inverse(np.zeros(8), g)
+
+    @pytest.mark.parametrize("transform", [dst_forward, dst_inverse])
+    def test_unknown_method_is_a_parameter_error(self, transform):
+        g = Grid1D(0.0, 1.0, 8)
+        arg = g.zeros() if transform is dst_forward else np.zeros(g.M - 1)
+        with pytest.raises(ParameterError, match="unknown method 'slow'"):
+            transform(arg, g, "slow")
 
 
 @settings(max_examples=60, deadline=None)
