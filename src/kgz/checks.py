@@ -26,7 +26,7 @@ from .grid import (
 )
 from .harness import _limit_summary
 from .layer import InitialLayer
-from .limits import first_state_kg, limit_metrics, trajectory_kg
+from .limits import _lockstep_metrics, first_state_kg, limit_metrics, trajectory_kg
 from .presets import preset_initial_data
 from .solver import (
     InitialData,
@@ -223,6 +223,27 @@ def check_reversibility_limit():
     return _round_trip("reversibility_limit", state0, params, layer, 100)
 
 
+_CURVES = ("times", "eta_2", "eta_inf", "eta_e", "f_l2")
+
+
+def _maxima(metrics, eps):
+    """The three maxima of an eps-limit row, taken from its curves."""
+    k = int(np.argmax(metrics.eta_e))
+    return {
+        "max_eta_e": float(metrics.eta_e[k]),
+        "t_max": float(metrics.times[k]),
+        "max_f_over_eps": float(np.max(metrics.f_l2) / eps),
+    }
+
+
+def _differences(curves, maxima, ref, eps):
+    """The names of the maxima and curves that differ from those of ``ref``, bit for bit."""
+    differ = [key for key, value in _maxima(ref, eps).items() if maxima[key] != value]
+    return differ + [
+        name for name in _CURVES if not np.array_equal(getattr(curves, name), getattr(ref, name))
+    ]
+
+
 def check_limit_lockstep():
     """The streamed eps-limit task against ``limit_metrics`` of whole trajectories, bit for bit.
 
@@ -234,21 +255,36 @@ def check_limit_lockstep():
     summary = _limit_summary(params, data)
     limit = trajectory_kg(params, data, layer)
     ref = limit_metrics(trajectory(params, data), limit, params.grid, params.tau)
-    k = int(np.argmax(ref.eta_e))
-    expected = {
-        "max_eta_e": float(ref.eta_e[k]),
-        "t_max": float(ref.times[k]),
-        "max_f_over_eps": float(np.max(ref.f_l2) / params.eps),
-    }
-    differ = [key for key, value in expected.items() if summary[key] != value]
-    differ += [
-        name
-        for name in ("times", "eta_2", "eta_inf", "eta_e", "f_l2")
-        if not np.array_equal(getattr(summary["curves"], name), getattr(ref, name))
-    ]
+    differ = _differences(summary["curves"], summary, ref, params.eps)
     if differ:
         return CheckResult("limit_lockstep", False, "differs in " + ", ".join(differ))
     return CheckResult("limit_lockstep", True, f"bit for bit over {len(ref.times)} levels")
+
+
+class _OneRowProducer(InitialLayer):
+    """A layer whose every stream a producer process serves, in one-row blocks, whatever its length."""
+
+    def _potentials(self, k_first, k_stop, tau, follow=None):
+        return self._produced(k_first, k_stop, tau, 1, follow)
+
+
+def check_limit_producer():
+    """The eps-limit task with the producer marching its limit model against the task in process, bit for bit.
+
+    A task takes this route from 2^20 node-rows on; the check forces it at
+    toy size, in one-row blocks: 99 rows wrap the 3-slot ring 33 times.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return CheckResult("limit_producer", True, "no fork start method: streams run in process")
+    params, data, _ = _toy_setup(eps=0.25)
+    _, _, w0, w1 = data.sample(params.grid)
+    forked = _OneRowProducer.from_samples(params.grid, params.eps, params.alpha, params.beta, w0, w1)
+    got = _lockstep_metrics(params, data, forked)
+    ref = _lockstep_metrics(params, data)
+    differ = _differences(got, _maxima(got, params.eps), ref, params.eps)
+    if differ:
+        return CheckResult("limit_producer", False, "differs in " + ", ".join(differ))
+    return CheckResult("limit_producer", True, f"bit for bit over {len(ref.times)} levels")
 
 
 def check_limit_closed_form():
@@ -388,6 +424,7 @@ ALL_CHECKS = (
     check_reversibility_coupled,
     check_reversibility_limit,
     check_limit_lockstep,
+    check_limit_producer,
     check_limit_closed_form,
     check_zero_fixed_point,
     check_dirichlet_boundary,

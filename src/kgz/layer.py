@@ -17,18 +17,25 @@ process that is not itself a ``multiprocessing`` child (pool workers
 already share the cores), with at least 2 CPUs in its affinity mask and
 the ``fork`` start method; otherwise the stream runs in process. Either
 way every row has the bits of ``averaged_wave`` at its time.
+
+A stream may also carry a follower: a march that depends on the
+potentials alone, such as the eps-limit task's limit model. The producer
+runs it ahead on its own core and streams its row of each step beside
+the potential; where the stream runs in process, the caller steps it.
 """
 
+import math
 import multiprocessing
 import os
 import signal
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .errors import ParameterError, positive_finite
+from .errors import KgzError, ParameterError, positive_finite
 from .grid import Grid1D
 from .transforms import dst_forward, dst_inverse
 
@@ -76,6 +83,20 @@ def decay_order(alpha, beta):
     return min(alpha, 1.0 + beta)
 
 
+def _data_scales(eps, alpha, beta):
+    """eps^alpha and eps^beta, which scale the incompatibility data; a ParameterError unless finite."""
+    scales = []
+    for name, power in (("alpha", alpha), ("beta", beta)):
+        try:
+            scale = eps**power
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise ParameterError(f"eps**{name} is not finite for eps={eps} and {name}={power}")
+        scales.append(scale)
+    return tuple(scales)
+
+
 def _check_eps(eps):
     if positive_finite("eps", eps) > 1:
         warnings.warn(
@@ -106,9 +127,10 @@ class InitialLayer:
         # theta_l from l and the interval length directly, not via h
         l = np.arange(1, self.grid.M)
         theta = l * (np.pi / (self.eps * self.grid.length))
+        scale0, scale1 = _data_scales(self.eps, self.alpha, self.beta)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "amp0", self.eps**self.alpha * self.w0_hat)
-        object.__setattr__(self, "amp1", self.eps**self.beta * self.w1_hat / theta)
+        object.__setattr__(self, "amp0", scale0 * self.w0_hat)
+        object.__setattr__(self, "amp1", scale1 * self.w1_hat / theta)
 
     @classmethod
     def from_samples(cls, grid, eps, alpha, beta, w0_samples, w1_samples):
@@ -155,7 +177,7 @@ class InitialLayer:
         modes *= weights
         return dst_inverse(modes, self.grid)
 
-    def _potentials(self, k_first, k_stop, tau):
+    def _potentials(self, k_first, k_stop, tau, follow=None):
         """Yield ``averaged_wave(k tau, tau)`` for k = k_first .. k_stop - 1, in order.
 
         The potentials depend on t_k alone, never on the solution, so a
@@ -164,11 +186,16 @@ class InitialLayer:
         process when ``_use_producer`` allows it for the stream's node-rows,
         in process otherwise. A caller closes the stream when it stops early
         or fails (``contextlib.closing``), which ends the producer.
+
+        ``follow``, a follower (a function of each potential in turn that
+        returns a row of M + 1 values), makes the stream yield
+        ``(potential, followed)`` pairs: the producer's follower row, or
+        None where the stream runs in process and the caller steps it.
         """
         rows = max(1, _BLOCK_NODES // (self.grid.M - 1))
         if _use_producer((k_stop - k_first) * (self.grid.M - 1)):
-            return self._produced(k_first, k_stop, tau, rows)
-        return self._computed(k_first, k_stop, tau, rows)
+            return self._produced(k_first, k_stop, tau, rows, follow)
+        return self._computed(k_first, k_stop, tau, rows, follow)
 
     def _blocks(self, k_first, k_stop, tau, rows):
         """The potentials of ``_potentials``, ``rows`` rows per block (fewer in the last); one set of weights."""
@@ -178,55 +205,61 @@ class InitialLayer:
             ks = np.arange(k0, min(k0 + rows, k_stop))
             yield self._averaged_block(ks * tau, weights, phase[: len(ks)], modes[: len(ks)])
 
-    def _computed(self, k_first, k_stop, tau, rows):
-        """The in-process stream of ``_potentials``, ``rows`` rows per block."""
+    def _computed(self, k_first, k_stop, tau, rows, follow=None):
+        """The in-process stream of ``_potentials``, ``rows`` rows per block; no follower runs here."""
         for block in self._blocks(k_first, k_stop, tau, rows):
-            yield from block
+            yield from block if follow is None else zip(block, repeat(None))
 
-    def _produced(self, k_first, k_stop, tau, rows):
+    def _produced(self, k_first, k_stop, tau, rows, follow=None):
         """The stream of ``_potentials`` with its ``rows``-row blocks computed by a forked producer process.
 
         ``_potentials`` takes this path for a stream that ``_use_producer``
         grants by its node-rows alone; called directly it serves a stream of
         any length. The producer writes block i of the stream into slot i
-        mod ``_RING_SLOTS`` of a shared ring. ``free`` counts the slots it
-        may write and ``full`` the blocks the march may read. Each block is
-        copied out of its slot before the slot goes back, so its rows keep
-        their bits. The producer is joined on every exit of the stream,
-        terminated first if it still runs; should it die early, the stream
-        goes on in process from the first block it did not deliver. A row's
-        bits do not depend on the block size, so either way every row has
-        the bits of ``averaged_wave``.
+        mod ``_RING_SLOTS`` of a shared ring, with the follower's rows
+        beside the potentials when there is a follower. ``free`` counts the
+        slots it may write and ``full`` the blocks the march may read. Each
+        block is copied out of its slot before the slot goes back, so its
+        rows keep their bits. The producer is joined on every exit of the
+        stream, terminated first if it still runs. Should it stop early (it
+        died, or the follower raised a KgzError), the stream goes on in
+        process from the first block it did not deliver, its followed rows
+        None, so the caller steps the follower from there and meets any
+        error itself. A row's bits do not depend on the block size, so
+        either way every row has the bits of ``averaged_wave``.
         """
         positive_finite("tau", tau)  # here, as the producer has no way to raise into the march
         ctx = multiprocessing.get_context("fork")
+        parts = 1 if follow is None else 2
         width = self.grid.M + 1
-        ring = np.frombuffer(ctx.RawArray("d", _RING_SLOTS * rows * width))
-        ring = ring.reshape(_RING_SLOTS, rows, width)
+        ring = np.frombuffer(ctx.RawArray("d", _RING_SLOTS * rows * parts * width))
+        ring = ring.reshape(_RING_SLOTS, rows, parts, width)
         free, full = ctx.Semaphore(_RING_SLOTS), ctx.Semaphore(0)
         producer = ctx.Process(
             target=self._produce,
-            args=(k_first, k_stop, tau, rows, ring, free, full),
+            args=(k_first, k_stop, tau, rows, ring, free, full, follow),
             daemon=True,
         )
         producer.start()
         try:
             for i, k0 in enumerate(range(k_first, k_stop, rows)):
                 if not _acquire(full, producer.is_alive):
-                    yield from self._computed(k0, k_stop, tau, rows)
+                    yield from self._computed(k0, k_stop, tau, rows, follow)
                     return
                 block = ring[i % _RING_SLOTS, : min(rows, k_stop - k0)].copy()
                 free.release()
-                yield from block
+                yield from block[:, 0] if follow is None else block
         finally:
             producer.terminate()
             producer.join()
 
-    def _produce(self, k_first, k_stop, tau, rows, ring, free, full):
-        """The producer's loop: each block of the in-process stream into its slot once it is free.
+    def _produce(self, k_first, k_stop, tau, rows, ring, free, full, follow):
+        """The producer's loop: each block of the stream, followed rows beside, into its slot once free.
 
         The producer pins itself to the last CPU of its affinity mask, so
-        the scheduler keeps the march on another one.
+        the scheduler keeps the march on another one. A KgzError of the
+        follower ends it quietly: the march falls back in process and
+        meets the same error there, in its own order.
         """
         # an interrupt from the terminal is the march's to handle; it ends the producer
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -234,9 +267,16 @@ class InitialLayer:
             os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
         parent = multiprocessing.parent_process()
         for i, block in enumerate(self._blocks(k_first, k_stop, tau, rows)):
+            try:
+                followed = None if follow is None else [follow(row) for row in block]
+            except KgzError:
+                return
             if not _acquire(free, parent.is_alive):
                 return
-            ring[i % _RING_SLOTS, : len(block)] = block
+            slot = ring[i % _RING_SLOTS, : len(block)]
+            slot[:, 0] = block
+            if followed is not None:
+                slot[:, 1] = followed
             full.release()
 
     def _average_weights(self, tau):

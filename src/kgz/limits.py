@@ -16,7 +16,13 @@ either side, and the one-sided differences at either end the first or the
 last four levels (so a run needs at least four). The eps-limit task
 marches the coupled scheme and its limit model in lockstep, one averaged
 potential per step for both, and holds O(M) arrays plus the O(K) curves
-whatever the number of steps K. :func:`limit_metrics` feeds the same
+whatever the number of steps K. The limit model's levels depend on the
+time alone, like the potentials, so where a producer process serves the
+potential stream (:mod:`kgz.layer`) it marches the limit model too and
+streams its levels beside the potentials; where the stream runs in
+process (pool workers, one CPU, no ``fork``, short runs), or from the
+point where the producer stops, both models step in process, with the
+same bits. :func:`limit_metrics` feeds the same
 reduction from whole trajectories, which :func:`kgz.solver.trajectory` and
 :func:`trajectory_kg` still record; its independent reference is the closed
 form of a synthetic density in ``kgz check``.
@@ -24,6 +30,7 @@ form of a synthetic density in ``kgz check``.
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -146,27 +153,55 @@ class _Lockstep(NamedTuple):
     limit: KgzState
 
 
-def _lockstep_step(s, st, potential):
-    """One step of both models, with the one stencil and averaged potential they share."""
+def _limit_ahead(limit, st):
+    """The lockstep's stream follower: from ``limit`` on, the potential at t_k in, the limit E at k + 1 out."""
+
+    def follow(potential):
+        nonlocal limit
+        limit = _step(limit, st, potential)
+        return limit.E_curr
+
+    return follow
+
+
+def _lockstep_step(s, st, streamed):
+    """One step of both models, with the one stencil and averaged potential they share.
+
+    ``streamed`` is the potential and the limit model's E at the next level
+    as the producer marched it ahead, or None in its place where the
+    stream runs in process; the limit model then steps here, after the
+    coupled model.
+    """
+    potential, E_kg = streamed
     coupled = _step(s.coupled, st, potential)
-    return _Lockstep(coupled.k, coupled.t_k, coupled, _step(s.limit, st, potential))
+    if E_kg is None:
+        limit = _step(s.limit, st, potential)
+    else:
+        limit = KgzState(coupled.k, coupled.t_k, s.limit.E_curr, E_kg)
+    return _Lockstep(coupled.k, coupled.t_k, coupled, limit)
 
 
-def _lockstep_metrics(params, data):
+def _lockstep_metrics(params, data, layer=None):
     """The LimitMetrics of one eps, with both models marched in lockstep from one layer.
 
-    Each step takes one streamed averaged potential for both models. A
-    KgzError of either model leaves through ``march`` with its ``k`` and ``t``.
+    Each step takes one streamed averaged potential for both models. Where
+    a producer process serves the stream, it also marches the limit model
+    ahead (``_limit_ahead``), and this process steps the coupled model
+    alone; should the producer stop, both models step here from the first
+    block it did not deliver. A KgzError of either model leaves through
+    ``march`` with its ``k`` and ``t``, the coupled model's first within a
+    step. ``layer`` is built from ``data`` if None; ``kgz check`` passes
+    one whose stream always forks.
     """
     K, tau = params.n_steps(), params.tau
-    layer = build_layer(params, data)
+    layer = build_layer(params, data) if layer is None else layer
     state = _Lockstep(1, tau, first_state(params, data, layer), first_state_kg(params, data, layer))
+    states = _march_forward(
+        state, params, layer, _lockstep_step, partial(_limit_ahead, state.limit)
+    )
     levels = chain(
         [(state.coupled.F_prev, state.coupled.E_prev, state.limit.E_prev)],
-        (
-            (s.coupled.F_curr, s.coupled.E_curr, s.limit.E_curr)
-            for s in _march_forward(state, params, layer, _lockstep_step)
-        ),
+        ((s.coupled.F_curr, s.coupled.E_curr, s.limit.E_curr) for s in states),
     )
     return _reduce(levels, np.arange(K + 1) * tau, params.grid, tau, params.eps)
 

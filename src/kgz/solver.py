@@ -58,7 +58,7 @@ from .grid import (
     solve_poisson_dirichlet,
 )
 from .grid import solve_tridiagonal  # noqa: F401  perfbench/tracer.py wraps this name here
-from .layer import InitialLayer, decay_order
+from .layer import InitialLayer, _data_scales, decay_order
 
 # relative slack when testing whether a time is a whole number of steps;
 # a strict half-ulp test rejects tau = T / K after the float round trip
@@ -87,6 +87,7 @@ class KgzParams:
         for name in ("eps", "tau"):  # the stencil divides by their squares
             inverse_square_finite(name, getattr(self, name))
         decay_order(self.alpha, self.beta)
+        _data_scales(self.eps, self.alpha, self.beta)
         self.n_steps()  # reject a partial final step early
 
     def n_steps(self):
@@ -416,14 +417,16 @@ def trajectory(params, data):
     return _record(first_state(params, data, layer), params, layer)
 
 
-def _march_forward(state, params, layer, step=None):
+def _march_forward(state, params, layer, step=None, follow=None):
     """``march`` a k = 1 state to T; the one place that sets a forward run up.
 
     It builds the run's _Stencil and opens the stream of potentials from
     ``layer`` once, and advances by ``step(state, stencil, potential)``,
     ``_step`` (looked up when the march starts) if None. ``layer`` None
-    steps without a potential (plain Klein-Gordon). The stream is closed
-    however the march ends, a KgzError included.
+    steps without a potential (plain Klein-Gordon). ``follow(stencil)``,
+    if given, makes the stream's follower (``InitialLayer._potentials``),
+    and ``step`` then takes the stream's ``(potential, followed)`` pairs.
+    The stream is closed however the march ends, a KgzError included.
     """
     K = params.n_steps()
     st = _stencil(params)
@@ -431,7 +434,8 @@ def _march_forward(state, params, layer, step=None):
     if layer is None:
         stream = nullcontext(repeat(None))
     else:
-        stream = closing(layer._potentials(1, K, params.tau))
+        follower = None if follow is None else follow(st)
+        stream = closing(layer._potentials(1, K, params.tau, follower))
     with stream as potentials:
         yield from march(state, lambda s: step(s, st, next(potentials)), K - 1)
 

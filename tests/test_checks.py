@@ -7,15 +7,18 @@ names where it differs.
 
 import multiprocessing
 from dataclasses import replace
+from itertools import count
 
 import numpy as np
 import pytest
 
 import kgz.checks
+import kgz.limits
 from kgz import InitialLayer
 from kgz.checks import (
     check_limit_closed_form,
     check_limit_lockstep,
+    check_limit_producer,
     check_potential_blocks,
     check_potential_producer,
 )
@@ -83,6 +86,28 @@ def test_limit_lockstep_checks_the_level_by_level_reference(monkeypatch):
     result = check_limit_lockstep()
     assert not result.passed
     assert result.detail == "differs in f_l2"
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no producer")
+def test_limit_producer_names_the_changed_curve(monkeypatch):
+    ahead = kgz.limits._limit_ahead
+
+    def nudged(limit, st):
+        follow, levels = ahead(limit, st), count(limit.k + 1)
+
+        def step(potential):
+            E = follow(potential)
+            if next(levels) == 3:  # far below the maximum
+                E = E.copy()
+                E[24] = np.nextafter(E[24], np.inf)  # mid-grid, where the field is not tiny
+            return E
+
+        return step
+
+    monkeypatch.setattr(kgz.limits, "_limit_ahead", nudged)
+    result = check_limit_producer()
+    assert not result.passed
+    assert result.detail == "differs in eta_e"
 
 
 def test_limit_closed_form_checks_limit_metrics(monkeypatch):

@@ -442,7 +442,7 @@ class TestCheck:
         code = main(["check"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "15/15 checks passed" in out
+        assert "16/16 checks passed" in out
         assert "FAIL" not in out
 
 

@@ -187,6 +187,34 @@ def test_size_beyond_double_is_a_parameter_error(call):
         call()
 
 
+# eps above 1 is accepted with a warning, so eps**alpha or eps**beta can pass
+# double precision: 2**1100 overflows, and an infinite exponent makes it inf
+DATA_SCALES = {"--alpha=1100 --beta=0": "eps**alpha", "--alpha=0 --beta=1100": "eps**beta"}
+
+
+@pytest.mark.parametrize("flags", DATA_SCALES)
+def test_cli_data_scale_beyond_double_exits_1(tmp_path, capsys, flags):
+    code = main(["solve", "--eps=2", "--case=custom", *flags.split(), "--h=0.5", "--tau=0.01",
+                 "--T=0.02", f"--out={tmp_path / 's'}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: ") and DATA_SCALES[flags] in err, err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, named",
+    [(1100, 0, "alpha=1100"), (0, 1100, "beta=1100"), (math.inf, 0, "alpha=inf")],
+)
+def test_data_scale_beyond_double_is_a_parameter_error(alpha, beta, named):
+    with pytest.raises(ParameterError, match=f"eps=2.0 and {named}"):
+        make_params(2.0, alpha, beta, 0.5, 0.01, 0.02)
+    zeros = GRID.zeros()
+    with pytest.raises(ParameterError, match=f"eps=2.0 and {named}"), pytest.warns(UserWarning):
+        InitialLayer.from_samples(GRID, 2.0, alpha, beta, zeros, zeros)
+
+
 def test_grid_beyond_memory_is_a_parameter_error():
     with pytest.raises(ParameterError, match="a Grid1D: .* GiB of physical memory"):
         Grid1D(0.0, 1.0, 2**50)

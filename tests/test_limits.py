@@ -1,5 +1,9 @@
+import multiprocessing
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from kgz import (
     KgzState,
     ParameterError,
     ShapeError,
+    StabilityError,
     Trajectory,
     build_layer,
     first_state,
@@ -24,8 +29,11 @@ from kgz import (
     trajectory_kg,
 )
 import kgz.layer
+import kgz.limits
 from kgz.harness import _limit_summary, make_params
+from kgz.limits import _limit_ahead, _lockstep_metrics, _lockstep_step, _Lockstep
 from kgz.presets import preset_initial_data
+from kgz.solver import _march_forward
 
 
 def zero_fn(x):
@@ -366,6 +374,161 @@ class TestLockstep:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+
+
+# M = 40 has 39 interior nodes; K = 38 takes its 37 potentials in 5-row
+# blocks, 7 full ones that wrap the 3-slot ring and a partial one of 2
+PRODUCER_K, PRODUCER_ROWS = 38, 5
+
+
+def producer_params():
+    return toy_params(eps=0.3, M=40, tau=0.01, T=0.01 * PRODUCER_K)
+
+
+def limit_steps_here(params, data):
+    """The LimitMetrics of the lockstep task, and the limit-model steps this process took."""
+    limit_steps = []
+    step = kgz.limits._step
+
+    def counted(s, st, potential):
+        if s.F_curr is None:
+            limit_steps.append(s.k)
+        return step(s, st, potential)
+
+    kgz.limits._step = counted
+    try:
+        return _lockstep_metrics(params, data), limit_steps
+    finally:
+        kgz.limits._step = step
+
+
+def lockstep_in_worker():
+    """``limit_steps_here`` at the producer size; the count of limit steps, read in a pool worker."""
+    return len(limit_steps_here(producer_params(), preset_initial_data("gauss_sech"))[1])
+
+
+def force_producer(monkeypatch):
+    """Any stream gets a producer, in blocks of PRODUCER_ROWS rows; fallback polls are short."""
+    monkeypatch.setattr(kgz.layer, "_PRODUCER_NODES", 1)
+    monkeypatch.setattr(kgz.layer, "_BLOCK_NODES", PRODUCER_ROWS * 39)
+    monkeypatch.setattr(kgz.layer, "_POLL_S", 0.05)
+
+
+def fail_at(monkeypatch, k, *models):
+    """Make the steps of ``models`` ("coupled", "limit") from level k raise a StabilityError naming the model."""
+    step = kgz.limits._step
+
+    def failing(s, st, potential):
+        model = "limit" if s.F_curr is None else "coupled"
+        if s.k == k and model in models:
+            raise StabilityError(f"injected in the {model} step")
+        return step(s, st, potential)
+
+    monkeypatch.setattr(kgz.limits, "_step", failing)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no producer")
+class TestLimitProducer:
+    """A producer process marches the lockstep task's limit model; the in-process lockstep is the reference."""
+
+    @pytest.fixture
+    def data(self):
+        return preset_initial_data("gauss_sech")
+
+    @pytest.fixture
+    def in_process(self, data):
+        return _lockstep_metrics(producer_params(), data)
+
+    @pytest.fixture
+    def forked(self, monkeypatch, two_cpus):
+        force_producer(monkeypatch)
+
+    @pytest.fixture
+    def resumed(self, monkeypatch):
+        """The first step of every in-process fallback of a produced stream."""
+        calls = []
+        computed = kgz.layer.InitialLayer._computed
+
+        def spied(self, k_first, *args):
+            calls.append(k_first)
+            return computed(self, k_first, *args)
+
+        monkeypatch.setattr(kgz.layer.InitialLayer, "_computed", spied)
+        return calls
+
+    def test_curves_match_in_process(self, data, in_process, forked, resumed):
+        got, limit_steps = limit_steps_here(producer_params(), data)
+        assert_same_curves(got, in_process)
+        assert limit_steps == [] and resumed == []
+
+    def test_killed_producer_gives_the_same_bits(self, monkeypatch, data, in_process, forked, resumed):
+        step = kgz.limits._step
+
+        def killing(s, st, potential):
+            if s.F_curr is not None and s.k == 2:
+                (producer,) = multiprocessing.active_children()
+                producer.kill()
+            return step(s, st, potential)
+
+        monkeypatch.setattr(kgz.limits, "_step", killing)
+        got, limit_steps = limit_steps_here(producer_params(), data)
+        assert_same_curves(got, in_process)
+        # the ring holds at most 3 blocks beyond the one in use, so the march
+        # resumes at a block start within the 7 full blocks, from the last
+        # two limit levels it received
+        (k_resumed,) = resumed
+        assert 1 < k_resumed <= 1 + 4 * PRODUCER_ROWS and (k_resumed - 1) % PRODUCER_ROWS == 0
+        assert limit_steps == list(range(k_resumed, PRODUCER_K))
+
+    @pytest.mark.parametrize(
+        "models, message",
+        [(("limit",), "limit"), (("limit", "coupled"), "coupled")],
+        ids=["limit", "both-coupled-first"],
+    )
+    @pytest.mark.parametrize("k", [2, 13])
+    def test_limit_step_error_surfaces_as_in_process(
+        self, monkeypatch, capfd, data, two_cpus, resumed, models, message, k
+    ):
+        fail_at(monkeypatch, k, *models)
+        with pytest.raises(StabilityError) as here:
+            _lockstep_metrics(producer_params(), data)
+        force_producer(monkeypatch)
+        resumed.clear()
+        with pytest.raises(StabilityError) as there:
+            _lockstep_metrics(producer_params(), data)
+        assert f"injected in the {message} step" in str(there.value)
+        assert str(there.value) == str(here.value)
+        assert (there.value.k, there.value.t) == (here.value.k, here.value.t) == (k, k * 0.01)
+        # the producer stopped at the block of step k and the march went on here
+        assert resumed == [1 + (k - 1) // PRODUCER_ROWS * PRODUCER_ROWS]
+        assert capfd.readouterr().err == ""
+
+    def test_coupled_failure_joins_the_producer(self, monkeypatch, data, forked):
+        fail_at(monkeypatch, 13, "coupled")
+        with pytest.raises(StabilityError, match="coupled"):
+            _lockstep_metrics(producer_params(), data)
+        assert multiprocessing.active_children() == []
+
+    def test_closed_early_ends_the_producer(self, data, forked):
+        params = producer_params()
+        layer = build_layer(params, data)
+        start = _Lockstep(1, params.tau, first_state(params, data, layer), first_state_kg(params, data, layer))
+        states = _march_forward(start, params, layer, _lockstep_step, partial(_limit_ahead, start.limit))
+        assert len(list(islice(states, 3))) == 3
+        assert len(multiprocessing.active_children()) == 1
+        states.close()
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_stays_in_process(self, monkeypatch, data, in_process, forked):
+        monkeypatch.setattr(kgz.layer.os, "sched_getaffinity", lambda pid: {0})
+        got, limit_steps = limit_steps_here(producer_params(), data)
+        assert_same_curves(got, in_process)
+        assert limit_steps == list(range(1, PRODUCER_K))
+
+    def test_pool_worker_stays_in_process(self, forked):
+        # a forked worker inherits the patched rule, so only being a child keeps it in process
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(lockstep_in_worker).result() == PRODUCER_K - 1
 
 
 class TestKgEnergy:
