@@ -12,15 +12,17 @@ alone, so the stream computes it ahead, a block of ``_BLOCK_NODES // (M - 1)``
 rows (at least one) per DST call. A forked producer process computes the
 blocks beside the march and hands them over through a ring of shared
 slots when the stream is long enough to pay for the fork: 2^20 node-rows
-or more, whatever its block size. The producer serves a stream only in a
-process that is not itself a ``multiprocessing`` child (pool workers
-already share the cores), with at least 2 CPUs in its affinity mask and
-the ``fork`` start method; otherwise the stream runs in process. Either
-way every row has the bits of ``averaged_wave`` at its time.
+or more, whatever its block size. One socket pair carries a one-byte
+token per block each way, and its end is the other side's end, so a
+stopped producer or march is seen at once. The producer serves a stream
+only in a process that is not itself a ``multiprocessing`` child (pool
+workers already share the cores), with at least 2 CPUs in its affinity
+mask and the ``fork`` start method; otherwise the stream runs in
+process. Either way every row has the bits of ``averaged_wave``.
 
 A stream may also carry a follower: a march that depends on the
 potentials alone, such as the eps-limit task's limit model. The producer
-runs it ahead on its own core and streams its row of each step beside
+runs it ahead beside the march and streams its row of each step beside
 the potential; where the stream runs in process, the caller steps it.
 """
 
@@ -28,6 +30,7 @@ import math
 import multiprocessing
 import os
 import signal
+import socket
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -47,8 +50,9 @@ _RING_SLOTS = 3
 # node-rows from which a stream pays for its producer: on 2 vCPUs a fork
 # and join took 5-8 ms, 2^20 node-rows of potential 25-55 ms
 _PRODUCER_NODES = 2**20
-# seconds a side waits for the other before it checks that the other is alive
-_POLL_S = 1.0
+# a token to a producer that has exited raises BrokenPipeError, not SIGPIPE,
+# also in a program that restored SIGPIPE's default action (Linux)
+_NOSIGNAL = getattr(socket, "MSG_NOSIGNAL", 0)
 
 
 def _use_producer(nodes):
@@ -64,14 +68,6 @@ def _use_producer(nodes):
         and len(os.sched_getaffinity(0)) >= 2
         and "fork" in multiprocessing.get_all_start_methods()
     )
-
-
-def _acquire(sem, alive):
-    """Acquire ``sem``; False when it is still taken once ``alive()`` turns false."""
-    while not sem.acquire(timeout=_POLL_S):
-        if not alive():
-            return sem.acquire(block=False)
-    return True
 
 
 def decay_order(alpha, beta):
@@ -216,17 +212,18 @@ class InitialLayer:
         ``_potentials`` takes this path for a stream that ``_use_producer``
         grants by its node-rows alone; called directly it serves a stream of
         any length. The producer writes block i of the stream into slot i
-        mod ``_RING_SLOTS`` of a shared ring, with the follower's rows
-        beside the potentials when there is a follower. ``free`` counts the
-        slots it may write and ``full`` the blocks the march may read. Each
-        block is copied out of its slot before the slot goes back, so its
-        rows keep their bits. The producer is joined on every exit of the
-        stream, terminated first if it still runs. Should it stop early (it
-        died, or the follower raised a KgzError), the stream goes on in
-        process from the first block it did not deliver, its followed rows
-        None, so the caller steps the follower from there and meets any
-        error itself. A row's bits do not depend on the block size, so
-        either way every row has the bits of ``averaged_wave``.
+        mod ``_RING_SLOTS`` of a shared ring, the follower's rows beside the
+        potentials when there is a follower, and sends a token on the
+        socket pair; the march copies the block out, so its rows keep their
+        bits, and sends one back. Each side closes its copy of the other's
+        end, so a read that gets no byte, or a reset (tokens left unread),
+        means the producer stopped before this block: it died, or the
+        follower raised a KgzError. The stream then goes on in process from
+        that block, its followed rows None, so the caller steps the
+        follower from there and meets any error itself. The producer is
+        joined on every exit of the stream, terminated first if it still
+        runs. A row's bits do not depend on the block size, so either way
+        every row has the bits of ``averaged_wave``.
         """
         positive_finite("tau", tau)  # here, as the producer has no way to raise into the march
         ctx = multiprocessing.get_context("fork")
@@ -234,50 +231,53 @@ class InitialLayer:
         width = self.grid.M + 1
         ring = np.frombuffer(ctx.RawArray("d", _RING_SLOTS * rows * parts * width))
         ring = ring.reshape(_RING_SLOTS, rows, parts, width)
-        free, full = ctx.Semaphore(_RING_SLOTS), ctx.Semaphore(0)
+        march, tokens = socket.socketpair()
         producer = ctx.Process(
             target=self._produce,
-            args=(k_first, k_stop, tau, rows, ring, free, full, follow),
+            args=(k_first, k_stop, tau, rows, ring, tokens, march, follow),
             daemon=True,
         )
-        producer.start()
-        try:
-            for i, k0 in enumerate(range(k_first, k_stop, rows)):
-                if not _acquire(full, producer.is_alive):
-                    yield from self._computed(k0, k_stop, tau, rows, follow)
-                    return
-                block = ring[i % _RING_SLOTS, : min(rows, k_stop - k0)].copy()
-                free.release()
-                yield from block[:, 0] if follow is None else block
-        finally:
-            producer.terminate()
-            producer.join()
+        with march:
+            with tokens:
+                producer.start()
+            try:
+                for i, k0 in enumerate(range(k_first, k_stop, rows)):
+                    delivered = b""
+                    with suppress(OSError):
+                        delivered = march.recv(1)
+                    if not delivered:
+                        yield from self._computed(k0, k_stop, tau, rows, follow)
+                        return
+                    block = ring[i % _RING_SLOTS, : min(rows, k_stop - k0)].copy()
+                    with suppress(OSError):  # a stopped producer: the next read sees its end
+                        march.send(b"\0", _NOSIGNAL)
+                    yield from block[:, 0] if follow is None else block
+            finally:
+                producer.terminate()
+                producer.join()
 
-    def _produce(self, k_first, k_stop, tau, rows, ring, free, full, follow):
+    def _produce(self, k_first, k_stop, tau, rows, ring, tokens, march, follow):
         """The producer's loop: each block of the stream, followed rows beside, into its slot once free.
 
-        The producer pins itself to the last CPU of its affinity mask, so
-        the scheduler keeps the march on another one. A KgzError of the
-        follower ends it quietly: the march falls back in process and
-        meets the same error there, in its own order.
+        The first ``_RING_SLOTS`` blocks find their slots free, and each
+        later one waits for the march's token. A read that gets no byte, or
+        an OSError, means the march is gone, and a KgzError of the follower
+        is the march's to meet in process, in its own order: either ends the
+        producer quietly.
         """
+        march.close()  # the fork's copy: while it is open, the march's end never comes
         # an interrupt from the terminal is the march's to handle; it ends the producer
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        with suppress(OSError):  # a mask that changed since the fork; the pin is only a hint
-            os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-        parent = multiprocessing.parent_process()
-        for i, block in enumerate(self._blocks(k_first, k_stop, tau, rows)):
-            try:
+        with suppress(KgzError, OSError):
+            for i, block in enumerate(self._blocks(k_first, k_stop, tau, rows)):
                 followed = None if follow is None else [follow(row) for row in block]
-            except KgzError:
-                return
-            if not _acquire(free, parent.is_alive):
-                return
-            slot = ring[i % _RING_SLOTS, : len(block)]
-            slot[:, 0] = block
-            if followed is not None:
-                slot[:, 1] = followed
-            full.release()
+                if i >= _RING_SLOTS and not tokens.recv(1):
+                    return
+                slot = ring[i % _RING_SLOTS, : len(block)]
+                slot[:, 0] = block
+                if followed is not None:
+                    slot[:, 1] = followed
+                tokens.send(b"\0")
 
     def _average_weights(self, tau):
         """The per-mode average factors (sin(theta tau / 2) / (theta tau / 2))^2; checks tau."""

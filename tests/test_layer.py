@@ -1,4 +1,8 @@
 import multiprocessing
+import os
+import signal
+import socket
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -14,6 +18,31 @@ def make_layer(rng, grid, eps, alpha=0.5, beta=0.0):
     w0 = random_grid_fn(rng, grid)
     w1 = random_grid_fn(rng, grid)
     return InitialLayer.from_samples(grid, eps, alpha, beta, w0, w1)
+
+
+def open_and_report(layer, conn):
+    """Open a produced one-row stream, read a row, send the producer's pid on ``conn``, then wait."""
+    stream = layer._produced(1, 10_000, 0.01, 1)
+    next(stream)
+    (producer,) = multiprocessing.active_children()
+    conn.send(producer.pid)
+    conn.recv()
+
+
+def consume_slowly(layer):
+    """March slowly through a produced stream where SIGPIPE kills, as in a program that restored its default."""
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    for _ in layer._produced(1, 9, 0.01, 1):
+        time.sleep(0.02)
+
+
+def running(pid):
+    """Whether process ``pid`` still runs; a zombie has ended."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestConstruction:
@@ -220,7 +249,6 @@ class TestPotentialProducer:
         assert np.array_equal(first, layer.averaged_wave(0.01, 0.01))
 
     def test_dead_producer_falls_back_in_process(self, layer, monkeypatch):
-        monkeypatch.setattr(kgz.layer, "_POLL_S", 0.05)
         stream = layer._produced(1, 9, 0.01, 1)
         got = [next(stream)]
         (producer,) = multiprocessing.active_children()
@@ -230,6 +258,30 @@ class TestPotentialProducer:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_orphaned_producer_ends_at_once(self, layer):
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        helper = ctx.Process(target=open_and_report, args=(layer, theirs))
+        helper.start()
+        assert ours.poll(30)
+        pid = ours.recv()
+        start = time.monotonic()
+        os.kill(helper.pid, signal.SIGKILL)
+        helper.join(30)
+        while running(pid) and time.monotonic() - start < 0.5:
+            time.sleep(0.005)
+        assert not running(pid)
+
+    @pytest.mark.skipif(not hasattr(socket, "MSG_NOSIGNAL"), reason="no MSG_NOSIGNAL")
+    def test_token_to_exited_producer_raises_no_sigpipe(self, layer):
+        # the producer exits after its last block, while the march still
+        # copies three blocks out and sends their tokens back
+        helper = multiprocessing.get_context("fork").Process(target=consume_slowly, args=(layer,))
+        helper.start()
+        helper.join(30)
+        assert helper.exitcode == 0
 
     def test_tau_validation(self, layer):
         with pytest.raises(ParameterError):
@@ -259,7 +311,6 @@ class TestBlockProducer:
         assert multiprocessing.active_children() == []
 
     def test_killed_producer_falls_back_from_first_missing_block(self, layer, monkeypatch):
-        monkeypatch.setattr(kgz.layer, "_POLL_S", 0.05)
         rows, k_stop = 52, 1 + 10 * 52 + 5
         want = list(layer._computed(1, k_stop, 0.01, rows))
         resumed = []
@@ -281,6 +332,17 @@ class TestBlockProducer:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+    def test_killed_producer_is_seen_at_once(self, layer):
+        rows, k_stop = 52, 1 + 10 * 52 + 5
+        stream = layer._produced(1, k_stop, 0.01, rows)
+        got = [next(stream)]
+        (producer,) = multiprocessing.active_children()
+        start = time.monotonic()
+        producer.kill()
+        got += list(stream)
+        assert time.monotonic() - start < 0.5
+        assert len(got) == k_stop - 1
 
     def test_rule(self, two_cpus):
         assert not kgz.layer._use_producer(2**20 - 1)

@@ -1,4 +1,5 @@
 import multiprocessing
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -408,10 +409,9 @@ def lockstep_in_worker():
 
 
 def force_producer(monkeypatch):
-    """Any stream gets a producer, in blocks of PRODUCER_ROWS rows; fallback polls are short."""
+    """Any stream gets a producer, in blocks of PRODUCER_ROWS rows."""
     monkeypatch.setattr(kgz.layer, "_PRODUCER_NODES", 1)
     monkeypatch.setattr(kgz.layer, "_BLOCK_NODES", PRODUCER_ROWS * 39)
-    monkeypatch.setattr(kgz.layer, "_POLL_S", 0.05)
 
 
 def fail_at(monkeypatch, k, *models):
@@ -502,6 +502,17 @@ class TestLimitProducer:
         # the producer stopped at the block of step k and the march went on here
         assert resumed == [1 + (k - 1) // PRODUCER_ROWS * PRODUCER_ROWS]
         assert capfd.readouterr().err == ""
+
+    def test_limit_step_error_is_seen_at_once(self, monkeypatch, data, two_cpus):
+        fail_at(monkeypatch, 13, "limit")
+        with pytest.raises(StabilityError) as here:
+            _lockstep_metrics(producer_params(), data)
+        force_producer(monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(StabilityError) as there:
+            _lockstep_metrics(producer_params(), data)
+        assert time.monotonic() - start < 0.5
+        assert (str(there.value), there.value.k) == (str(here.value), 13)
 
     def test_coupled_failure_joins_the_producer(self, monkeypatch, data, forked):
         fail_at(monkeypatch, 13, "coupled")
