@@ -26,7 +26,7 @@ from .grid import (
 )
 from .harness import _limit_summary
 from .layer import InitialLayer
-from .limits import _lockstep_metrics, first_state_kg, limit_metrics, trajectory_kg
+from .limits import _lockstep_metrics, _maxima, first_state_kg, limit_metrics, trajectory_kg
 from .presets import preset_initial_data
 from .solver import (
     InitialData,
@@ -224,16 +224,6 @@ def check_reversibility_limit():
 
 
 _CURVES = ("times", "eta_2", "eta_inf", "eta_e", "f_l2")
-
-
-def _maxima(metrics, eps):
-    """The three maxima of an eps-limit row, taken from its curves."""
-    k = int(np.argmax(metrics.eta_e))
-    return {
-        "max_eta_e": float(metrics.eta_e[k]),
-        "t_max": float(metrics.times[k]),
-        "max_f_over_eps": float(np.max(metrics.f_l2) / eps),
-    }
 
 
 def _differences(curves, maxima, ref, eps):

@@ -33,13 +33,23 @@ def _interval(a, b):
     return a, b
 
 
-def _cells(count, inputs):
-    """``count`` cells if numpy can index them and their float64 nodes fit in physical memory."""
-    countable(count, "cells", inputs)
+# the peak resident bytes a run holds per grid node, the producer process not
+# counted: the slope of the peak RSS of ``run`` between M = 29440 and 620000
+_RUN_NODE_BYTES = 300
+
+
+def _in_memory(nbytes, needs):
+    """A ParameterError, ``needs`` followed by the sizes, if ``nbytes`` exceed physical memory."""
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if 8 * (count + 1) > memory:
-        raise ParameterError(f"{inputs}: {count:g} cells, whose nodes need {8 * (count + 1) / 2**30:.3g}"
-                             f" GiB, more than the {memory / 2**30:.3g} GiB of physical memory")
+    if nbytes > memory:
+        raise ParameterError(f"{needs} {nbytes / 2**30:.3g} GiB, more than the "
+                             f"{memory / 2**30:.3g} GiB of physical memory")
+
+
+def _cells(count, inputs):
+    """``count`` cells if numpy can index them and a run on them fits in physical memory."""
+    countable(count, "cells", inputs)
+    _in_memory(_RUN_NODE_BYTES * (count + 1), f"{inputs}: {count:g} cells, whose run needs")
     return count
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DegenerateProblemError, KgzError, ParameterError, ShapeError, describe
 from .errors import countable, positive_finite
 from .grid import Grid1D, _cells, _interval, grid_norms
-from .limits import _lockstep_metrics
+from .limits import _lockstep_metrics, _maxima
 from .limits import limit_metrics, trajectory_kg  # noqa: F401  perfbench/tracer.py wraps these here
 from .presets import case_exponents, domain_for_eps, preset_initial_data
 from .solver import ALIGN_RTOL, KgzParams, Snapshot, run, whole_steps
@@ -345,13 +345,7 @@ def _solve_task(task):
 def _limit_summary(params, data):
     """The limit metrics of one eps: their maxima, and the curves as a LimitMetrics."""
     metrics = _lockstep_metrics(params, data)
-    k_star = int(np.argmax(metrics.eta_e))
-    return {
-        "max_eta_e": float(metrics.eta_e[k_star]),
-        "t_max": float(metrics.times[k_star]),
-        "max_f_over_eps": float(np.max(metrics.f_l2) / params.eps),
-        "curves": metrics,
-    }
+    return dict(_maxima(metrics, params.eps), curves=metrics)
 
 
 def _task_work(task):

@@ -195,7 +195,9 @@ def _lockstep_metrics(params, data, layer=None):
     """
     K, tau = params.n_steps(), params.tau
     layer = build_layer(params, data) if layer is None else layer
-    state = _Lockstep(1, tau, first_state(params, data, layer), first_state_kg(params, data, layer))
+    coupled = first_state(params, data, layer)
+    # no step writes a state's arrays in place, so the two starts share them
+    state = _Lockstep(1, tau, coupled, replace(coupled, F_prev=None, F_curr=None))
     states = _march_forward(
         state, params, layer, _lockstep_step, partial(_limit_ahead, state.limit)
     )
@@ -204,6 +206,16 @@ def _lockstep_metrics(params, data, layer=None):
         ((s.coupled.F_curr, s.coupled.E_curr, s.limit.E_curr) for s in states),
     )
     return _reduce(levels, np.arange(K + 1) * tau, params.grid, tau, params.eps)
+
+
+def _maxima(metrics, eps):
+    """The maxima of an eps-limit row: the first maximum of eta_e, its time, and max f_l2 / eps."""
+    k = int(np.argmax(metrics.eta_e))
+    return {
+        "max_eta_e": float(metrics.eta_e[k]),
+        "t_max": float(metrics.times[k]),
+        "max_f_over_eps": float(np.max(metrics.f_l2) / eps),
+    }
 
 
 def kg_energy(state, grid, tau):

@@ -48,6 +48,7 @@ from .errors import countable, inverse_square_finite, positive_finite
 from .grid import (
     Grid1D,
     TridiagonalFactor,
+    _in_memory,
     _second_difference,
     _solve_factored,
     _solve_tridiagonal,
@@ -442,9 +443,12 @@ def _march_forward(state, params, layer, step=None, follow=None):
 
 def _record(state, params, layer):
     """``_march_forward`` storing every level; F only when the state carries it."""
-    K = params.n_steps()
-    E = np.empty((K + 1, params.grid.M + 1))
-    F = None if state.F_curr is None else np.empty_like(E)
+    K, M = params.n_steps(), params.grid.M
+    stored = 1 if state.F_curr is None else 2
+    _in_memory(8 * stored * (K + 1) * (M + 1),
+               f"{K + 1} time levels on {M} cells: the stored trajectory needs")
+    E = np.empty((K + 1, M + 1))
+    F = None if stored == 1 else np.empty_like(E)
     E[0] = state.E_prev
     if F is not None:
         F[0] = state.F_prev

@@ -6,10 +6,12 @@ breaks the rule must raise ParameterError, and the control must return.
 Snapshot times are the one input where 0 (the start) is legal. Sizes
 beyond double precision close the file: a cell or step count no array can
 index, or an inverse square that is not finite, is a ParameterError too,
-and so is a grid whose nodes would not fit in physical memory.
+and so is a grid whose run, or a trajectory whose stored levels, would not
+fit in physical memory.
 """
 
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -227,10 +229,18 @@ def _two_gib_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
 
 
+# a cell count whose float64 nodes fit in physical memory, and under the
+# 2 GiB cap above on machines of up to 16 GiB, but whose run does not fit;
+# at eps = 1 the domain is (-31, 31)
+MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+RUN_H = 62.0 / (MEMORY // 64)
+
+
 @pytest.mark.parametrize(
     "flags, named",
-    [(["solve", "--h=1e-12"], "h=1e-12"), (["sweep", "--levels=40", "--eps-list=1"], "levels=40")],
-    ids=["solve-h", "sweep-levels"],
+    [(["solve", "--h=1e-12"], "h=1e-12"), (["sweep", "--levels=40", "--eps-list=1"], "levels=40"),
+     (["solve", f"--h={RUN_H!r}"], f"h={RUN_H!r} on (-31, 31) at eps=1.0: ")],
+    ids=["solve-h", "sweep-levels", "solve-run"],
 )
 def test_cli_size_beyond_memory_exits_1(tmp_path, flags, named):
     proc = subprocess.run(
@@ -240,3 +250,31 @@ def test_cli_size_beyond_memory_exits_1(tmp_path, flags, named):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("parameter error: ") and named in proc.stderr, proc.stderr
     assert "physical memory" in proc.stderr and "Traceback" not in proc.stderr
+
+
+# the run above, and runs of 16 cells whose stored levels, one or two
+# float64 arrays of (K + 1) x 17, need more than physical memory
+LIBRARY_BEYOND_MEMORY = {
+    "run": (f"run(make_params(1.0, 0.0, 0.0, {RUN_H!r}, 0.05, 0.1), data)", "whose run needs"),
+    "trajectory": (f"trajectory(make_params(1.0, 0.0, 0.0, 0.5, 1 / {MEMORY // 32}, 1.0, (-4, 4)), "
+                   "data)", "the stored trajectory needs"),
+    "trajectory_kg": (f"trajectory_kg(make_params(1.0, 0.0, 0.0, 0.5, 1 / {MEMORY // 32}, 1.0, "
+                      "(-4, 4)), data, None)", "the stored trajectory needs"),
+}
+
+
+@pytest.mark.parametrize("call", LIBRARY_BEYOND_MEMORY)
+def test_library_run_beyond_memory_is_a_parameter_error(call):
+    expr, needs = LIBRARY_BEYOND_MEMORY[call]
+    code = (
+        "from kgz import ParameterError, make_params, preset_initial_data\n"
+        "from kgz import run, trajectory, trajectory_kg\n"
+        "data = preset_initial_data('gauss_sech')\n"
+        f"try:\n    {expr}\nexcept ParameterError as exc:\n    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, preexec_fn=_two_gib_address_space, timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert needs in proc.stdout and proc.stdout.endswith(" GiB of physical memory\n"), proc.stdout

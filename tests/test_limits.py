@@ -361,6 +361,27 @@ class TestLockstep:
         data = preset_initial_data("gauss_sech")
         self.assert_summary_matches(params, data, level_by_level(params, data))
 
+    def test_one_start_for_both_models(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return first_state(*args)
+
+        monkeypatch.setattr(kgz.limits, "first_state", counted)
+        data = preset_initial_data("gauss_sech")
+        _limit_summary(toy_params(eps=0.3, M=40, tau=0.01, T=0.05), data)
+        assert len(calls) == 1
+
+    def test_maxima_take_the_first_tied_level(self):
+        times = np.arange(5) * 0.5
+        eta_e = np.array([1.0, 3.0, 2.0, 3.0, 0.5])
+        f_l2 = np.array([0.0, 0.2, 0.6, 0.6, 0.1])
+        metrics = kgz.limits.LimitMetrics(times, eta_e + 1.0, eta_e + 2.0, eta_e, f_l2)
+        assert kgz.limits._maxima(metrics, 0.25) == {
+            "max_eta_e": 3.0, "t_max": 0.5, "max_f_over_eps": 2.4
+        }
+
     def test_peak_memory_does_not_grow_with_steps(self):
         # K = 100 against K = 1000 on one grid (M = 2000); the bound is fixed
         # beforehand, and whole trajectories would make the ratio about 10
