@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 from .errors import KgzError, ParameterError, describe
 from .harness import (
@@ -210,8 +211,12 @@ def main(argv=None):
             at = argv.index(opt.command) + 1
             opt = parser.parse_args(argv[:at] + _config_flags(opt.config, options) + argv[at:])
         out = getattr(opt, "out", None)
-        if out and not os.path.isdir(os.path.dirname(out) or "."):
-            raise ParameterError(f"--out {out}: its directory does not exist")
+        if out:  # a missing or unwritable directory fails here, not after the run
+            try:
+                tempfile.NamedTemporaryFile(dir=os.path.dirname(out) or ".", suffix=".tmp").close()
+            except OSError as exc:
+                raise ParameterError(f"--out {out}: cannot write in its directory: "
+                                     f"{exc.strerror}") from None
         handler = {
             "solve": _cmd_solve,
             "sweep": _cmd_sweep,

@@ -11,9 +11,9 @@ snapshot) has one CSV layout, written by ``_write_csv``. It is written
 atomically, and takes the mode of a new file under the umask.
 
 With ``workers > 1`` the tasks of a sweep or limit study run in a process
-pool, which is handed the largest task first (by node-steps, a reference's
-refine factors included); the results still come back in task order, so
-every table and CSV is the serial one.
+pool of ``min(workers, tasks)`` processes, which is handed the largest task
+first (by node-steps, a reference's refine factors included); the results
+still come back in task order, so every table and CSV is the serial one.
 """
 
 import math
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateProblemError, KgzError, ParameterError, ShapeError, describe
 from .errors import countable, positive_finite
-from .grid import Grid1D, _cells, _interval, grid_norms
+from .grid import _RUN_NODE_BYTES, Grid1D, _cells, _in_memory, _interval, grid_norms
 from .limits import _lockstep_metrics, _maxima
 from .limits import limit_metrics, trajectory_kg  # noqa: F401  perfbench/tracer.py wraps these here
 from .presets import case_exponents, domain_for_eps, preset_initial_data
@@ -316,9 +316,6 @@ class SweepSpec:
                 raise ParameterError(f"eps values must be distinct, got {eps} more than once")
         return out
 
-    def exponents(self):
-        return case_exponents(self.case, self.alpha, self.beta)
-
 
 def _solve_task(task):
     """Run one (eps, h, tau) case; executed in a worker process."""
@@ -348,25 +345,39 @@ def _limit_summary(params, data):
     return dict(_maxima(metrics, params.eps), curves=metrics)
 
 
+def _task_nodes(task):
+    """The nodes M + 1 of a task's run, a reference's refine_space applied to M."""
+    return grid_for(task["eps"], task["h"]).M * task.get("refine_space", 1) + 1
+
+
 def _task_work(task):
     """The node-steps K (M - 1) of a task's run, a reference's refine factors applied to K and M."""
-    M = grid_for(task["eps"], task["h"]).M * task.get("refine_space", 1)
-    return task["T"] / task["tau"] * task.get("refine_time", 1) * (M - 1)
+    return task["T"] / task["tau"] * task.get("refine_time", 1) * (_task_nodes(task) - 2)
+
+
+def _pool_size(tasks, workers):
+    """The processes of a sweep's pool, ``workers`` but no more than its tasks; below 2 none runs.
+
+    A ``fork`` pool starts all its processes at the first submit, so a
+    larger one would start processes that never get a task.
+    """
+    return min(workers, len(tasks))
 
 
 def _run_tasks(tasks, workers):
     """The results of ``_solve_task`` on each task, in task order.
 
-    A pool of ``workers > 1`` processes is handed the largest task first,
+    A pool of ``_pool_size`` processes is handed the largest task first,
     so the longest run (a sweep's finest reference) does not start last
     and set the makespan alone.
     """
-    if workers > 1 and len(tasks) > 1:
-        order = sorted(range(len(tasks)), key=lambda i: _task_work(tasks[i]), reverse=True)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {i: pool.submit(_solve_task, tasks[i]) for i in order}
-            return [futures[i].result() for i in range(len(tasks))]
-    return [_solve_task(t) for t in tasks]
+    pool_size = _pool_size(tasks, workers)
+    if pool_size < 2:
+        return [_solve_task(t) for t in tasks]
+    order = sorted(range(len(tasks)), key=lambda i: _task_work(tasks[i]), reverse=True)
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        futures = {i: pool.submit(_solve_task, tasks[i]) for i in order}
+        return [futures[i].result() for i in range(len(tasks))]
 
 
 def _plan(spec):
@@ -375,9 +386,12 @@ def _plan(spec):
     The tasks come in the order the table reads them: per eps, largest
     first, each level's ``final`` task (coarsest first) and then the
     ``reference``, refined from the finest level; or one ``limit`` task.
+    The runs a pool holds at once, its ``_pool_size`` tasks with the most
+    nodes, must fit in physical memory together at ``_RUN_NODE_BYTES`` a
+    node (pool workers start no producer process).
     """
     spec = spec.resolved()
-    alpha, beta = spec.exponents()
+    alpha, beta = case_exponents(spec.case, spec.alpha, spec.beta)
     preset_initial_data(spec.preset)  # an unknown preset fails before any task runs
     tau, _, adjusted = aligned_tau(spec.T, spec.tau0)
     meta = {
@@ -399,32 +413,36 @@ def _plan(spec):
             raise ParameterError("limit metrics need at least 4 time levels; "
                                  "decrease tau or increase T")
         meta["eps_limit_columns"] = "e_err:max_eta_e,n_err:max_f_l2_over_eps"
-        return spec, meta, [dict(base, eps=eps, h=spec.h0, tau=tau, kind="limit")
-                            for eps in eps_list]
-
-    spatial = spec.mode == "spatial"
-    # a reference refines the direction the sweep studies
-    ref_kw = {"refine_space": spec.refine_space if spatial else 1,
-              "refine_time": 1 if spatial else spec.refine_time}
-    finest = 2.0 ** min(spec.levels - 1, 1023)  # inf past 2^1023
-    tasks = []
-    for eps in eps_list:
-        coarse = grid_for(eps, spec.h0)
-        # the finest reference must fit before its levels are built
-        if spatial:
-            _cells(coarse.M * spec.refine_space * finest,
-                   f"the finest reference of h0={spec.h0}, levels={spec.levels} and "
-                   f"refine_space={spec.refine_space} at eps={eps}")
-        else:
-            countable(spec.T / tau * spec.refine_time * finest, "steps",
-                      f"the finest reference of tau0={spec.tau0}, levels={spec.levels} and "
-                      f"refine_time={spec.refine_time}")
-        level = dict(base, eps=eps, kind="final", h=coarse.h, tau=tau)
-        # a spatial level multiplies the cells of the coarsest grid, so the
-        # reference restricts onto its nodes whether or not h0 divides the domain
-        levels = [dict(level, h=coarse.length / (coarse.M * 2**i)) if spatial
-                  else dict(level, tau=tau / 2**i) for i in range(spec.levels)]
-        tasks += [*levels, dict(levels[-1], kind="reference", **ref_kw)]
+        tasks = [dict(base, eps=eps, h=spec.h0, tau=tau, kind="limit") for eps in eps_list]
+    else:
+        spatial = spec.mode == "spatial"
+        # a reference refines the direction the sweep studies
+        ref_kw = {"refine_space": spec.refine_space if spatial else 1,
+                  "refine_time": 1 if spatial else spec.refine_time}
+        finest = 2.0 ** min(spec.levels - 1, 1023)  # inf past 2^1023
+        tasks = []
+        for eps in eps_list:
+            coarse = grid_for(eps, spec.h0)
+            # the finest reference must fit before its levels are built
+            if spatial:
+                _cells(coarse.M * spec.refine_space * finest,
+                       f"the finest reference of h0={spec.h0}, levels={spec.levels} and "
+                       f"refine_space={spec.refine_space} at eps={eps}")
+            else:
+                countable(spec.T / tau * spec.refine_time * finest, "steps",
+                          f"the finest reference of tau0={spec.tau0}, levels={spec.levels} and "
+                          f"refine_time={spec.refine_time}")
+            level = dict(base, eps=eps, kind="final", h=coarse.h, tau=tau)
+            # a spatial level multiplies the cells of the coarsest grid, so the
+            # reference restricts onto its nodes whether or not h0 divides the domain
+            levels = [dict(level, h=coarse.length / (coarse.M * 2**i)) if spatial
+                      else dict(level, tau=tau / 2**i) for i in range(spec.levels)]
+            tasks += [*levels, dict(levels[-1], kind="reference", **ref_kw)]
+    pool_size = _pool_size(tasks, spec.workers)
+    if pool_size > 1:
+        nodes = sorted(map(_task_nodes, tasks), reverse=True)[:pool_size]
+        _in_memory(_RUN_NODE_BYTES * sum(nodes),
+                   f"workers={spec.workers}: the {pool_size} largest runs at once need")
     return spec, meta, tasks
 
 

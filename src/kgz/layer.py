@@ -93,14 +93,6 @@ def _data_scales(eps, alpha, beta):
     return tuple(scales)
 
 
-def _check_eps(eps):
-    if positive_finite("eps", eps) > 1:
-        warnings.warn(
-            f"eps={eps} exceeds the analysis range (0, 1]; proceeding",
-            stacklevel=3,
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class InitialLayer:
     """Sine spectra of the incompatibility data plus mode frequencies.
@@ -120,18 +112,22 @@ class InitialLayer:
     amp1: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if positive_finite("eps", self.eps) > 1:
+            warnings.warn(
+                f"eps={self.eps} exceeds the analysis range (0, 1]; proceeding",
+                stacklevel=3,
+            )
+        decay_order(self.alpha, self.beta)
+        scale0, scale1 = _data_scales(self.eps, self.alpha, self.beta)
         # theta_l from l and the interval length directly, not via h
         l = np.arange(1, self.grid.M)
         theta = l * (np.pi / (self.eps * self.grid.length))
-        scale0, scale1 = _data_scales(self.eps, self.alpha, self.beta)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "amp0", scale0 * self.w0_hat)
         object.__setattr__(self, "amp1", scale1 * self.w1_hat / theta)
 
     @classmethod
     def from_samples(cls, grid, eps, alpha, beta, w0_samples, w1_samples):
-        _check_eps(eps)
-        decay_order(alpha, beta)
         return cls(
             eps=float(eps),
             alpha=float(alpha),

@@ -394,11 +394,15 @@ def run(params, data, snapshot_times=None):
     """Drive the scheme to T and return snapshots of (E, F, N).
 
     Snapshot times must be whole multiples of tau inside [0, T]; by default
-    only the final time is recorded.
+    only the final time is recorded. The levels kept, E and F of each
+    snapshot level and N of each snapshot time, must fit in physical memory.
     """
     if snapshot_times is None:
         snapshot_times = [params.T]
     idx = _snapshot_indices(params, snapshot_times)
+    M, kept = params.grid.M, len(set(idx))
+    _in_memory(8 * (M + 1) * (2 * kept + len(idx)),
+               f"{len(idx)} snapshot times ({kept} levels) on {M} cells: the kept snapshots need")
     layer = build_layer(params, data)
     state = first_state(params, data, layer)
     levels = {0: (state.E_prev, state.F_prev)} if 0 in idx else {}

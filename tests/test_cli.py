@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
 import subprocess
 import sys
 
@@ -317,18 +318,22 @@ def _fail_if_called(*args, **kwargs):
     raise AssertionError("a run started")
 
 
+# each subcommand that writes --out, and the runner it must not reach
+_OUT_RUNS = pytest.mark.parametrize(
+    "command, runner",
+    [
+        (["solve", "--h", "0.5", "--tau", "0.01", "--T", "0.05"], "run"),
+        (["sweep", "--eps-list", "1", "--h0", "0.4", "--levels", "2", "--T", "0.05"],
+         "run_sweep"),
+        (["limit-study", "--eps-list", "0.25", "--h", "0.5", "--tau", "0.05", "--T", "0.25"],
+         "limit_study"),
+    ],
+    ids=["solve", "sweep", "limit-study"],
+)
+
+
 class TestOutDirectory:
-    @pytest.mark.parametrize(
-        "command, runner",
-        [
-            (["solve", "--h", "0.5", "--tau", "0.01", "--T", "0.05"], "run"),
-            (["sweep", "--eps-list", "1", "--h0", "0.4", "--levels", "2", "--T", "0.05"],
-             "run_sweep"),
-            (["limit-study", "--eps-list", "0.25", "--h", "0.5", "--tau", "0.05", "--T", "0.25"],
-             "limit_study"),
-        ],
-        ids=["solve", "sweep", "limit-study"],
-    )
+    @_OUT_RUNS
     def test_missing_directory_exits_1_before_any_run(
         self, tmp_path, monkeypatch, capsys, command, runner
     ):
@@ -339,6 +344,16 @@ class TestOutDirectory:
         assert "parameter error" in captured.err and "missing" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc/self directory")
+    @_OUT_RUNS
+    def test_unwritable_directory_exits_1_before_any_run(self, monkeypatch, capsys, command, runner):
+        # /proc/self is a directory in which no file can be created
+        monkeypatch.setattr(kgz.cli, runner, _fail_if_called)
+        assert main([*command, "--out", "/proc/self/x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parameter error: --out /proc/self/x: "), captured.err
+        assert captured.out == ""
 
 
 class TestExactFlags:

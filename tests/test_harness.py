@@ -34,6 +34,7 @@ from kgz import (
     write_table,
 )
 from kgz import presets
+from kgz.grid import _RUN_NODE_BYTES
 from kgz.harness import ErrorRow, FailedRow, RateTable, _solve_task
 from kgz.presets import preset_initial_data
 
@@ -802,3 +803,68 @@ class TestPoolOrder:
             assert got.keys() == want.keys()
             for key in got:
                 assert np.array_equal(got[key], want[key])
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand in for the process pool and record the size of each pool built; no process starts."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            future = Future()
+            future.set_result(fn(task))
+            return future
+
+    monkeypatch.setattr(kgz.harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(kgz.harness, "_solve_task", lambda task: {"ok": True, "id": task["id"]})
+    return sizes
+
+
+class TestPoolSize:
+    """One number sizes the pool: ``workers``, but no more processes than tasks."""
+
+    TASK = {"preset": "gauss_sech", "alpha": 1.0, "beta": 0.0, "eps": 1.0, "T": 0.1,
+            "kind": "final", "h": 0.5, "tau": 0.05}
+
+    def test_no_larger_than_the_task_list(self, pool_sizes):
+        results = kgz.harness._run_tasks([dict(self.TASK, id=i) for i in range(3)], 64)
+        assert pool_sizes == [3]
+        assert [r["id"] for r in results] == [0, 1, 2]
+
+    def test_one_task_builds_no_pool(self, pool_sizes):
+        assert kgz.harness._run_tasks([dict(self.TASK, id=0)], 4) == [{"ok": True, "id": 0}]
+        assert pool_sizes == []
+
+
+class TestPoolMemory:
+    """The runs a pool holds at once must fit in physical memory together."""
+
+    MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+    def spec(self, workers):
+        # two levels refined 8x in space: each reference has 16 M0 cells, with
+        # M0 = 64 / h0 at eps 1/2 and 62 / h0 at eps 1; h0 sizes the larger run
+        # at 0.6 of physical memory, so each fits alone but the two do not
+        h0 = 16 * 64 * _RUN_NODE_BYTES / (0.6 * self.MEMORY)
+        return SweepSpec(mode="spatial", case="I", eps_list=(1.0, 0.5), h0=h0, tau0=0.05,
+                         levels=2, T=0.1, workers=workers)
+
+    def test_two_runs_at_once_beyond_memory_fail_the_plan(self, monkeypatch):
+        monkeypatch.setattr(kgz.harness, "_run_tasks", _no_task_runs)
+        with pytest.raises(ParameterError,
+                           match="workers=2: the 2 largest runs at once need .* physical memory"):
+            run_sweep(self.spec(workers=2))
+
+    def test_one_run_at_a_time_reaches_the_runner(self, monkeypatch):
+        # two levels and a reference per eps
+        assert len(_submitted_tasks(monkeypatch, self.spec(workers=1))) == 6

@@ -252,10 +252,17 @@ def test_cli_size_beyond_memory_exits_1(tmp_path, flags, named):
     assert "physical memory" in proc.stderr and "Traceback" not in proc.stderr
 
 
-# the run above, and runs of 16 cells whose stored levels, one or two
+# a run on MEMORY // 3000 cells, which fits at 300 bytes a node and whose
+# nodes fit under the cap above, but whose 201 snapshot levels, 24 bytes a
+# node each (E, F and N), need 1.6 times physical memory
+SNAP_H = 62.0 / (MEMORY // 3000)
+
+# the runs above, and runs of 16 cells whose stored levels, one or two
 # float64 arrays of (K + 1) x 17, need more than physical memory
 LIBRARY_BEYOND_MEMORY = {
     "run": (f"run(make_params(1.0, 0.0, 0.0, {RUN_H!r}, 0.05, 0.1), data)", "whose run needs"),
+    "run-snapshots": (f"run(make_params(1.0, 0.0, 0.0, {SNAP_H!r}, 0.05, 10.0), data, "
+                      "[k / 20 for k in range(201)])", "the kept snapshots need"),
     "trajectory": (f"trajectory(make_params(1.0, 0.0, 0.0, 0.5, 1 / {MEMORY // 32}, 1.0, (-4, 4)), "
                    "data)", "the stored trajectory needs"),
     "trajectory_kg": (f"trajectory_kg(make_params(1.0, 0.0, 0.0, 0.5, 1 / {MEMORY // 32}, 1.0, "

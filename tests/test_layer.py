@@ -82,6 +82,22 @@ class TestConstruction:
         with pytest.raises(ParameterError, match="finite"):
             InitialLayer.from_samples(g, eps, 0.0, 0.0, g.zeros(), g.zeros())
 
+    @pytest.mark.parametrize(
+        "eps, alpha, match",
+        [(-1.0, 0.5, "eps must be"), (0.0, 0.0, "eps must be"), (0.5, -1.0, "alpha must be")],
+    )
+    def test_direct_construction_checks_its_inputs(self, eps, alpha, match):
+        g = Grid1D(0.0, 1.0, 4)
+        spectrum = np.ones(g.M - 1)
+        with pytest.raises(ParameterError, match=match):
+            InitialLayer(eps=eps, alpha=alpha, beta=0.0, grid=g, w0_hat=spectrum, w1_hat=spectrum)
+
+    def test_direct_construction_warns_above_the_analysis_range(self):
+        g = Grid1D(0.0, 1.0, 4)
+        spectrum = np.ones(g.M - 1)
+        with pytest.warns(UserWarning, match="exceeds the analysis range"):
+            InitialLayer(eps=1.5, alpha=0.0, beta=0.0, grid=g, w0_hat=spectrum, w1_hat=spectrum)
+
 
 class TestDecayOrder:
     @pytest.mark.parametrize("alpha,beta,expected", [(1, 0, 1), (0, -1, 0), (2, 1, 2)])
