@@ -211,6 +211,8 @@ def main(argv=None):
             at = argv.index(opt.command) + 1
             opt = parser.parse_args(argv[:at] + _config_flags(opt.config, options) + argv[at:])
         out = getattr(opt, "out", None)
+        if opt.command in ("sweep", "limit-study") and (out == "" or os.path.isdir(out)):
+            raise ParameterError(f"--out {out!r} must name a file: the table is written there")
         if out:  # a missing or unwritable directory fails here, not after the run
             try:
                 tempfile.NamedTemporaryFile(dir=os.path.dirname(out) or ".", suffix=".tmp").close()

@@ -16,9 +16,9 @@ or more, whatever its block size. One socket pair carries a one-byte
 token per block each way, and its end is the other side's end, so a
 stopped producer or march is seen at once. The producer serves a stream
 only in a process that is not itself a ``multiprocessing`` child (pool
-workers already share the cores), with at least 2 CPUs in its affinity
-mask and the ``fork`` start method; otherwise the stream runs in
-process. Either way every row has the bits of ``averaged_wave``.
+workers already share the cores) with at least 2 CPUs in its affinity
+mask; otherwise, and where a producer cannot start or stops, the stream
+runs in process. Either way every row has the bits of ``averaged_wave``.
 
 A stream may also carry a follower: a march that depends on the
 potentials alone, such as the eps-limit task's limit model. The producer
@@ -59,14 +59,14 @@ def _use_producer(nodes):
     """Whether a stream of ``nodes`` node-rows is served by a producer process.
 
     A stream qualifies from ``_PRODUCER_NODES`` node-rows on, whatever its
-    block size, and only where a producer can run beside the march.
+    block size, outside a ``multiprocessing`` child and with 2 CPUs or more;
+    whether a producer can start is for ``_produced`` to find out.
     """
     return (
         nodes >= _PRODUCER_NODES
         and multiprocessing.parent_process() is None
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
-        and "fork" in multiprocessing.get_all_start_methods()
     )
 
 
@@ -213,29 +213,29 @@ class InitialLayer:
         socket pair; the march copies the block out, so its rows keep their
         bits, and sends one back. Each side closes its copy of the other's
         end, so a read that gets no byte, or a reset (tokens left unread),
-        means the producer stopped before this block: it died, or the
-        follower raised a KgzError. The stream then goes on in process from
-        that block, its followed rows None, so the caller steps the
-        follower from there and meets any error itself. The producer is
-        joined on every exit of the stream, terminated first if it still
-        runs. A row's bits do not depend on the block size, so either way
-        every row has the bits of ``averaged_wave``.
+        means the producer stopped before this block: it died, the follower
+        raised a KgzError, or it never started (no ``fork``, or a failed
+        fork). The stream then goes on in process from that block, its
+        followed rows None, so the caller steps the follower from there and
+        meets any error itself. A started producer is joined on every exit
+        of the stream, terminated first if it still runs. A row's bits do
+        not depend on the block size: each has the bits of ``averaged_wave``.
         """
-        positive_finite("tau", tau)  # here, as the producer has no way to raise into the march
-        ctx = multiprocessing.get_context("fork")
         parts = 1 if follow is None else 2
         width = self.grid.M + 1
-        ring = np.frombuffer(ctx.RawArray("d", _RING_SLOTS * rows * parts * width))
+        ring = np.frombuffer(multiprocessing.RawArray("d", _RING_SLOTS * rows * parts * width))
         ring = ring.reshape(_RING_SLOTS, rows, parts, width)
         march, tokens = socket.socketpair()
-        producer = ctx.Process(
-            target=self._produce,
-            args=(k_first, k_stop, tau, rows, ring, tokens, march, follow),
-            daemon=True,
-        )
+        producer = None
         with march:
-            with tokens:
-                producer.start()
+            with tokens, suppress(ValueError, OSError):  # no fork here, or it failed: no producer
+                forked = multiprocessing.get_context("fork").Process(
+                    target=self._produce,
+                    args=(k_first, k_stop, tau, rows, ring, tokens, march, follow),
+                    daemon=True,
+                )
+                forked.start()
+                producer = forked
             try:
                 for i, k0 in enumerate(range(k_first, k_stop, rows)):
                     delivered = b""
@@ -249,17 +249,18 @@ class InitialLayer:
                         march.send(b"\0", _NOSIGNAL)
                     yield from block[:, 0] if follow is None else block
             finally:
-                producer.terminate()
-                producer.join()
+                if producer is not None:
+                    producer.terminate()
+                    producer.join()
 
     def _produce(self, k_first, k_stop, tau, rows, ring, tokens, march, follow):
         """The producer's loop: each block of the stream, followed rows beside, into its slot once free.
 
         The first ``_RING_SLOTS`` blocks find their slots free, and each
         later one waits for the march's token. A read that gets no byte, or
-        an OSError, means the march is gone, and a KgzError of the follower
-        is the march's to meet in process, in its own order: either ends the
-        producer quietly.
+        an OSError, means the march is gone, and a KgzError (a bad tau, or
+        the follower's) is the march's to meet in process, in its own order:
+        either ends the producer quietly.
         """
         march.close()  # the fork's copy: while it is open, the march's end never comes
         # an interrupt from the terminal is the march's to handle; it ends the producer

@@ -121,3 +121,9 @@ def test_limit_closed_form_checks_limit_metrics(monkeypatch):
     result = check_limit_closed_form()
     assert not result.passed
     assert result.detail.startswith("worst 1.0")
+
+
+def test_producer_checks_pass_without_fork(no_fork):
+    # _produced finds no producer and runs each stream in process
+    assert check_potential_producer().passed
+    assert check_limit_producer().passed

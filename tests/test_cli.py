@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -318,16 +319,17 @@ def _fail_if_called(*args, **kwargs):
     raise AssertionError("a run started")
 
 
-# each subcommand that writes --out, and the runner it must not reach
+# each subcommand whose --out names a table file, and the runner it must not reach
+_TABLE_COMMANDS = [
+    (["sweep", "--eps-list", "1", "--h0", "0.4", "--levels", "2", "--T", "0.05"], "run_sweep"),
+    (["limit-study", "--eps-list", "0.25", "--h", "0.5", "--tau", "0.05", "--T", "0.25"],
+     "limit_study"),
+]
+_TABLE_RUNS = pytest.mark.parametrize("command, runner", _TABLE_COMMANDS, ids=["sweep", "limit-study"])
+# each subcommand that writes --out: solve's is a prefix of its snapshot files
 _OUT_RUNS = pytest.mark.parametrize(
     "command, runner",
-    [
-        (["solve", "--h", "0.5", "--tau", "0.01", "--T", "0.05"], "run"),
-        (["sweep", "--eps-list", "1", "--h0", "0.4", "--levels", "2", "--T", "0.05"],
-         "run_sweep"),
-        (["limit-study", "--eps-list", "0.25", "--h", "0.5", "--tau", "0.05", "--T", "0.25"],
-         "limit_study"),
-    ],
+    [(["solve", "--h", "0.5", "--tau", "0.01", "--T", "0.05"], "run"), *_TABLE_COMMANDS],
     ids=["solve", "sweep", "limit-study"],
 )
 
@@ -345,6 +347,17 @@ class TestOutDirectory:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @_TABLE_RUNS
+    @pytest.mark.parametrize("out", ["", "."], ids=["empty", "directory"])
+    def test_table_out_must_name_a_file(self, tmp_path, monkeypatch, capsys, command, runner, out):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(kgz.cli, runner, _fail_if_called)
+        assert main([*command, f"--out={out}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"parameter error: --out {out!r} must name a file")
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc/self directory")
     @_OUT_RUNS
     def test_unwritable_directory_exits_1_before_any_run(self, monkeypatch, capsys, command, runner):
@@ -354,6 +367,17 @@ class TestOutDirectory:
         captured = capsys.readouterr()
         assert captured.err.startswith("parameter error: --out /proc/self/x: "), captured.err
         assert captured.out == ""
+
+
+def test_solve_with_failed_fork_runs_in_process(tmp_path, monkeypatch, two_cpus, failing_fork):
+    # M = 29440 and 100 steps: 2.9e6 node-rows, a stream that a producer would serve
+    args = ["solve", "--eps", "0.0625", "--h", "0.003125", "--tau", "1e-4", "--T", "0.01"]
+    assert main([*args, "--out", str(tmp_path / "failed")]) == 0
+    assert len(failing_fork) == 1 and multiprocessing.active_children() == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the in-process run
+    assert main([*args, "--out", str(tmp_path / "here")]) == 0
+    (failed,), (here,) = tmp_path.glob("failed_t*.csv"), tmp_path.glob("here_t*.csv")
+    assert failed.read_bytes() == here.read_bytes()
 
 
 class TestExactFlags:

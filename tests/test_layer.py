@@ -309,6 +309,36 @@ class TestPotentialProducer:
             next(layer._produced(1, 5, tau, 1))
 
 
+class TestMissingProducer:
+    """A producer that cannot start, on a platform without ``fork`` or when the fork fails, is one that stopped."""
+
+    @pytest.fixture
+    def layer(self, rng):
+        return make_layer(rng, Grid1D(-6.0, 6.0, 16386), eps=0.25)
+
+    def test_failed_fork_runs_the_stream_in_process(self, layer, two_cpus, failing_fork):
+        # 64 rows of 16385 nodes are past 2^20 node-rows
+        assert kgz.layer._use_producer(64 * 16385)
+        got = list(layer._potentials(1, 1 + 64, 0.01))
+        want = list(layer._computed(1, 1 + 64, 0.01, 1))
+        assert len(failing_fork) == 1
+        assert len(got) == len(want) == 64
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert multiprocessing.active_children() == []
+
+    def test_no_fork_runs_the_stream_in_process(self, layer, no_fork):
+        got = list(layer._produced(1, 9, 0.01, 1))
+        want = list(layer._computed(1, 9, 0.01, 1))
+        assert len(got) == len(want) == 8
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_rule_does_not_ask_for_fork(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(kgz.layer.multiprocessing, "get_all_start_methods", lambda: [])
+        assert kgz.layer._use_producer(2**20)
+
+
 class TestBlockProducer:
     """From 2^20 node-rows on, a producer process serves multi-row blocks too."""
 

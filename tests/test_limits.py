@@ -563,6 +563,18 @@ class TestLimitProducer:
             assert pool.submit(lockstep_in_worker).result() == PRODUCER_K - 1
 
 
+def test_failed_fork_marches_the_limit_model_here(monkeypatch, two_cpus, failing_fork):
+    """With no producer to be had, the lockstep task steps the limit model itself, to the same bits."""
+    data = preset_initial_data("gauss_sech")
+    in_process = _lockstep_metrics(producer_params(), data)
+    force_producer(monkeypatch)
+    got, limit_steps = limit_steps_here(producer_params(), data)
+    assert len(failing_fork) == 1
+    assert_same_curves(got, in_process)
+    assert limit_steps == list(range(1, PRODUCER_K))
+    assert multiprocessing.active_children() == []
+
+
 class TestKgEnergy:
     @pytest.mark.slow
     def test_drift_small_and_shrinks_under_refinement(self):
